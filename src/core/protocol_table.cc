@@ -140,15 +140,35 @@ ProtocolTable::ProtocolTable(const Config& config, uint64_t seed)
       costs_(config.costs),
       rng_(seed) {}
 
+bool ProtocolTable::SetWatched(int id, bool watched) {
+  uint32_t index = store_.SlotIndexOf(id);
+  if (index == EntryStore::kNoSlot) return false;
+  if (watched) {
+    change_flags_[index] |= kWatched;
+  } else {
+    change_flags_[index] &= ~kWatched;
+  }
+  return true;
+}
+
 void ProtocolTable::MarkDirty(int id) {
-  if (!change_tracking_) return;
-  if (dirty_set_.insert(id).second) dirty_ids_.push_back(id);
+  changed_ = true;
+  uint32_t index = store_.SlotIndexOf(id);
+  if (index == EntryStore::kNoSlot) return;
+  uint8_t& flags = change_flags_[index];
+  // Exactly kWatched: watched and not yet dirty this drain window.
+  if (flags != kWatched) return;
+  flags |= kDirty;
+  dirty_ids_.push_back(id);
 }
 
 void ProtocolTable::DrainDirtyIds(std::vector<int>* out) {
+  for (int id : dirty_ids_) {
+    change_flags_[store_.SlotIndexOf(id)] &= ~kDirty;
+  }
   out->insert(out->end(), dirty_ids_.begin(), dirty_ids_.end());
   dirty_ids_.clear();
-  dirty_set_.clear();
+  changed_ = false;
 }
 
 void ProtocolTable::OfferMirrored(int id, const CachedApprox& approx,

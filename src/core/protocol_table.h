@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -312,12 +311,16 @@ class ProtocolTable {
   ProtocolTable& operator=(const ProtocolTable&) = delete;
 
   /// Registers `id` before any concurrent access; allocates its versioned
-  /// read slot in the store's contiguous slab. Returns false on a
-  /// duplicate id. Charge-free. The id→slot mapping is immutable
-  /// afterwards, which is what lets TryVisibleInterval run without any
-  /// lock; registration itself is construction-time only and must not
-  /// race any other method.
-  bool Register(int id) { return store_.RegisterSlot(id); }
+  /// read slot in the store's contiguous slab and its change flags
+  /// (unwatched). Returns false on a duplicate id. Charge-free. The id→slot
+  /// mapping is immutable afterwards, which is what lets TryVisibleInterval
+  /// run without any lock; registration itself is construction-time only
+  /// and must not race any other method.
+  bool Register(int id) {
+    if (!store_.RegisterSlot(id)) return false;
+    change_flags_.push_back(0);
+    return true;
+  }
   /// Charge-free and safe without the owner's lock once construction ends
   /// (the id→slot mapping is immutable afterwards).
   bool Registered(int id) const { return store_.HasSlot(id); }
@@ -397,23 +400,29 @@ class ProtocolTable {
   }
 
   // -- change detection (the subscription hook) -------------------------
-  // The write path records which ids' cached visible state changed — an
-  // offer that was applied, or an eviction — so engines can feed standing
-  // queries (src/subscribe/) without re-deriving the protocol's decisions.
-  // Off by default: a table that nobody subscribes to pays nothing.
+  // The write path records which WATCHED ids' cached visible state changed
+  // — an offer that was applied, or an eviction — so engines can feed
+  // standing queries (src/subscribe/) without re-deriving the protocol's
+  // decisions. An id is watched while a standing subscription covers it;
+  // the flag lives in a per-slot byte indexed like the seqlock slab, so
+  // the filter costs one dense-index load and no hashing. A change to an
+  // unwatched id records only that something changed, which engines
+  // forward so the subscription layer's clock still advances.
 
-  /// Turns dirty-id recording on. Engines enable it lazily on the first
-  /// Subscribe; requires the owner's synchronization (held exclusively),
-  /// like every other mutating method.
-  void EnableChangeTracking() { change_tracking_ = true; }
-  bool change_tracking_enabled() const { return change_tracking_; }
+  /// Marks registered `id` watched (its changes are recorded as dirty ids)
+  /// or unwatched. Returns false, changing nothing, when `id` has no slot.
+  /// Unwatching an id that is already dirty keeps it in the current drain
+  /// window. Requires the owner's synchronization (held exclusively).
+  bool SetWatched(int id, bool watched);
 
-  /// Moves the set of ids whose cached visible interval changed since the
+  /// Moves the watched ids whose cached visible interval changed since the
   /// last drain into `*out` (appended; deduplicated per drain window, in
-  /// first-dirtied order). Requires the owner's synchronization (held
-  /// exclusively). A lost push dirties nothing — the cache never saw it.
+  /// first-dirtied order) and clears has_changes(). Requires the owner's
+  /// synchronization (held exclusively). A lost push dirties nothing — the
+  /// cache never saw it.
   void DrainDirtyIds(std::vector<int>* out);
-  bool has_dirty_ids() const { return !dirty_ids_.empty(); }
+  /// True when any id — watched or not — changed since the last drain.
+  bool has_changes() const { return changed_; }
 
   // -- charging and observability --------------------------------------
   // The trackers themselves are plain state: reading or mutating them
@@ -439,15 +448,20 @@ class ProtocolTable {
   void OfferMirrored(int id, const CachedApprox& approx, double raw_width);
   void MarkDirty(int id);
 
+  /// change_flags_ bits: a subscription covers the id / the id is already
+  /// in dirty_ids_ this drain window (the dedup, without a hash set).
+  static constexpr uint8_t kWatched = 1;
+  static constexpr uint8_t kDirty = 2;
+
   Config config_;
   EntryStore store_;
   CostTracker costs_;
   obs::AttributionTable* attribution_ = nullptr;  // non-owning
   Rng rng_;
   int64_t lost_pushes_ = 0;
-  bool change_tracking_ = false;
-  std::vector<int> dirty_ids_;           // first-dirtied order
-  std::unordered_set<int> dirty_set_;    // dedup within a drain window
+  std::vector<uint8_t> change_flags_;  // by slab index, like the slots
+  std::vector<int> dirty_ids_;         // watched, first-dirtied order
+  bool changed_ = false;               // any id changed since the drain
 };
 
 }  // namespace apc

@@ -63,9 +63,9 @@ Source* Shard::FindSource(int id) const {
 
 void Shard::SetChangeSink(IntervalChangeSink* sink) { sink_ = sink; }
 
-void Shard::EnableChangeTracking() {
+void Shard::SetWatched(int id, bool watched) {
   WriterMutexLock lock(mu_);
-  table_.EnableChangeTracking();
+  table_.SetWatched(id, watched);
 }
 
 void Shard::SetAttribution(obs::AttributionTable* sink) {
@@ -74,7 +74,7 @@ void Shard::SetAttribution(obs::AttributionTable* sink) {
 }
 
 void Shard::PublishChangesLocked(int64_t now) {
-  if (sink_ == nullptr || !table_.has_dirty_ids()) return;
+  if (sink_ == nullptr || !table_.has_changes()) return;
   dirty_scratch_.clear();
   table_.DrainDirtyIds(&dirty_scratch_);
   sink_->OnIntervalChanges(dirty_scratch_, now);

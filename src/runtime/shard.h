@@ -128,19 +128,18 @@ class Shard {
   /// Safe without the lock: the id map is immutable once construction ends.
   bool Owns(int id) const { return by_id_.count(id) != 0; }
 
-  /// Attaches the subscription subsystem's change sink. Once tracking is
-  /// also enabled (EnableChangeTracking), every mutating method hands the
-  /// ids whose cached visible interval changed to the sink WHILE still
-  /// holding the shard lock (the sink only enqueues), so a change is
+  /// Attaches the subscription subsystem's change sink. Every mutating
+  /// method that changed a cached visible interval reports it to the sink
+  /// WHILE still holding the shard lock (the sink only enqueues): the
+  /// watched ids among the changes, so a change a standing query needs is
   /// always in flight before the mutation is observable — the ordering the
   /// no-missed-violation checker relies on. Not thread-safe; call during
   /// engine construction, before any concurrent access.
   void SetChangeSink(IntervalChangeSink* sink);
 
-  /// Turns on the protocol table's dirty-id recording, under the shard
-  /// lock — called on the first Subscribe (SubscriptionActivate), so
-  /// subscription-free engines never pay for change tracking. Thread-safe.
-  void EnableChangeTracking();
+  /// Watches or releases owned `id` (see ProtocolTable::SetWatched) under
+  /// the exclusive shard lock. Thread-safe.
+  void SetWatched(int id, bool watched);
 
   /// Attaches the engine's cost-attribution sink to this shard's protocol
   /// table (non-owning; see ProtocolTable::SetAttribution). Not
@@ -244,8 +243,9 @@ class Shard {
   /// Query-initiated exact pull of `src` (charges Cqr, re-offers the fresh
   /// approximation); requires the shard lock held exclusively.
   double PullExactLocked(Source* src, int64_t now) APC_REQUIRES(mu_);
-  /// Drains the table's dirty ids to the change sink; requires the shard
-  /// lock held exclusively. No-op without a sink.
+  /// Drains the table's watched dirty ids to the change sink, or just its
+  /// clock when only unwatched ids changed; requires the shard lock held
+  /// exclusively. No-op without a sink or without a change.
   void PublishChangesLocked(int64_t now) APC_REQUIRES(mu_);
   /// Observability taps for the seqlock read path: counter bump (skipped
   /// when the shard is engine-less) plus a trace event when recording.

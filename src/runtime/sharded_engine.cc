@@ -325,8 +325,11 @@ bool ShardedEngine::SubscriptionOwns(int id) const {
   return shards_[static_cast<size_t>(ShardOf(id))]->Owns(id);
 }
 
-void ShardedEngine::SubscriptionActivate() {
-  for (auto& shard : shards_) shard->EnableChangeTracking();
+void ShardedEngine::SubscriptionWatch(const std::vector<int>& ids,
+                                      bool watched) {
+  for (int id : ids) {
+    shards_[static_cast<size_t>(ShardOf(id))]->SetWatched(id, watched);
+  }
 }
 
 }  // namespace apc

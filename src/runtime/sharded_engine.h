@@ -211,7 +211,7 @@ class ShardedEngine : private SubscriptionHost {
   Interval SubscriptionSnapshot(int id, int64_t now) const override;
   Interval SubscriptionPull(int id, int64_t now) override;
   bool SubscriptionOwns(int id) const override;
-  void SubscriptionActivate() override;
+  void SubscriptionWatch(const std::vector<int>& ids, bool watched) override;
 
   /// Declared first: destroyed last, after every component whose metrics
   /// it references has unregistered by simply going away — snapshots are

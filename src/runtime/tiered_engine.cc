@@ -218,19 +218,20 @@ TieredEngine::~TieredEngine() {
   subscriptions_.Shutdown();
 }
 
-void TieredEngine::SubscriptionActivate() {
-  // Subscriptions attach at the regional tier: its tables feed the
-  // change-detection hook (edge tables stay untracked). Enabled lazily on
-  // the first Subscribe so subscription-free engines pay nothing.
-  for (auto& rs : regional_) {
-    WriterMutexLock lock(rs->mu);
-    rs->table.EnableChangeTracking();
+void TieredEngine::SubscriptionWatch(const std::vector<int>& ids,
+                                     bool watched) {
+  // Subscriptions attach at the regional tier: only its tables watch ids
+  // (edge tables never publish).
+  for (int id : ids) {
+    RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
+    WriterMutexLock lock(rs.mu);
+    rs.table.SetWatched(id, watched);
   }
 }
 
 void TieredEngine::PublishRegionalChangesLocked(RegionalShard& rs,
                                                 int64_t now) {
-  if (!rs.table.has_dirty_ids()) return;
+  if (!rs.table.has_changes()) return;
   rs.dirty_scratch.clear();
   rs.table.DrainDirtyIds(&rs.dirty_scratch);
   subscriptions_.OnIntervalChanges(rs.dirty_scratch, now);

@@ -344,9 +344,10 @@ class TieredEngine : private SubscriptionHost {
   Interval SubscriptionSnapshot(int id, int64_t now) const override;
   Interval SubscriptionPull(int id, int64_t now) override;
   bool SubscriptionOwns(int id) const override { return Owns(id); }
-  void SubscriptionActivate() override;
+  void SubscriptionWatch(const std::vector<int>& ids, bool watched) override;
 
-  /// Hands the regional table's dirty ids to the subscription manager
+  /// Hands the regional table's watched dirty ids (or, when only unwatched
+  /// ids changed, just its clock) to the subscription manager
   /// (enqueue-only). Requires the regional shard lock held exclusively.
   void PublishRegionalChangesLocked(RegionalShard& rs, int64_t now)
       APC_REQUIRES(rs.mu);

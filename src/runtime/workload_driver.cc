@@ -496,7 +496,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   engine.BeginMeasurement(0);
 
   std::atomic<int64_t> clock{0};
-  std::atomic<bool> stop_control{false};
+  std::atomic<bool> stop_checker{false};
   std::atomic<int64_t> delivered{0};
   std::atomic<int64_t> order_regressions{0};
   std::atomic<int64_t> checker_probes{0};
@@ -561,7 +561,9 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   });
 
   // Control thread: churn (unsubscribe + fresh registration) and live
-  // Reprecision, interleaved, until the quotas are spent or the run ends.
+  // Reprecision, interleaved, until the quotas are spent. The run waits
+  // for them, so the report counts exactly the configured operations
+  // however quickly the pump drains the ticks.
   std::thread control;
   if (config.churn_ops > 0 || config.reprecision_ops > 0) {
     control = std::thread([&] {
@@ -569,7 +571,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
       ConstraintGenerator churn_deltas(config.deltas, config.seed ^ 0x11F2);
       std::vector<int64_t> live = sub_ids;
       int spec_index = config.num_subscribers;
-      while (!stop_control.load(std::memory_order_relaxed)) {
+      while (true) {
         bool more = false;
         if (churn_done.load(std::memory_order_relaxed) < config.churn_ops) {
           size_t i = static_cast<size_t>(
@@ -601,13 +603,16 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   // when no change is in flight before AND after reading the true value,
   // and the latest-queued epoch did not move — any interleaving that could
   // explain a mismatch benignly is skipped, so a counted violation is a
-  // real missed notification.
+  // real missed notification. The epoch is re-read after the second
+  // in-flight check: the notifier ships before it stops counting a change
+  // in flight, so an evaluation completing between the two reads still
+  // shows up as a new epoch.
   std::thread checker;
   if (config.run_violation_checker && !probes.empty()) {
     checker = std::thread([&] {
       Rng probe_rng(config.seed ^ 0xCCCC7);
       const SubscriptionManager& subs = engine.subscriptions();
-      while (!stop_control.load(std::memory_order_relaxed)) {
+      while (!stop_checker.load(std::memory_order_relaxed)) {
         const auto& [sid, source_id] = probes[static_cast<size_t>(
             probe_rng.UniformInt(0, static_cast<int64_t>(probes.size()) - 1))];
         Interval answer;
@@ -620,8 +625,9 @@ SubscriptionDriverReport RunSubscriptionWorkload(
         double truth = engine.ExactValue(source_id);
         Interval answer_after;
         int64_t epoch_after = 0;
-        if (!subs.LatestAnswer(sid, &answer_after, &epoch_after) ||
-            epoch_after != epoch || subs.in_flight() != 0) {
+        if (subs.in_flight() != 0 ||
+            !subs.LatestAnswer(sid, &answer_after, &epoch_after) ||
+            epoch_after != epoch) {
           continue;
         }
         checker_probes.fetch_add(1, std::memory_order_relaxed);
@@ -633,10 +639,10 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   }
 
   updater.join();
+  if (control.joinable()) control.join();  // quotas spent
   if (updates_running) engine.StopUpdatePump();  // drains the backlog
   engine.subscriptions().WaitQuiescent();  // every change fully evaluated
-  stop_control.store(true, std::memory_order_relaxed);
-  if (control.joinable()) control.join();
+  stop_checker.store(true, std::memory_order_relaxed);
   if (checker.joinable()) checker.join();
 
   int64_t final_tick = clock.load(std::memory_order_relaxed);

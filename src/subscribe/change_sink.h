@@ -7,8 +7,8 @@
 namespace apc {
 
 /// Consumer side of the protocol core's change-detection hook
-/// (ProtocolTable::DrainDirtyIds): engines drain the ids whose cached
-/// visible interval changed and hand them here.
+/// (ProtocolTable::DrainDirtyIds): engines drain the WATCHED ids whose
+/// cached visible interval changed and hand them here.
 ///
 /// Contract: OnIntervalChanges is invoked WHILE the engine still holds the
 /// lock that covered the mutation, so an implementation must only enqueue
@@ -20,7 +20,11 @@ class IntervalChangeSink {
  public:
   virtual ~IntervalChangeSink() = default;
 
-  /// `ids` changed their cached visible state at logical time `now`.
+  /// Something changed its cached visible state at logical time `now`;
+  /// `ids` are the watched ids among the changes. An empty `ids` reports
+  /// changes to unwatched ids only: the sink advances its clock to `now`
+  /// and must not take a lock — that is the write path's cost for every
+  /// id no standing query covers.
   virtual void OnIntervalChanges(const std::vector<int>& ids,
                                  int64_t now) = 0;
 };

@@ -45,15 +45,13 @@ int64_t SubscriptionManager::Subscribe(const Query& query, double delta,
     }
   }
   MutexLock lock(mu_);
-  // First subscriber ever: have the engine enable dirty-id tracking (its
-  // tables were constructed with tracking off so subscription-free
-  // engines pay nothing). Changes predating this instant are irrelevant —
-  // the registration evaluation below snapshots fresh state.
-  if (!has_subs_.load(std::memory_order_relaxed)) {
-    host_->SubscriptionActivate();
-  }
-  int64_t sub_id = table_.Add(query, delta);
-  has_subs_.store(true, std::memory_order_release);
+  std::vector<int> newly_watched;
+  int64_t sub_id = table_.Add(query, delta, &newly_watched);
+  // Ids no standing query covered until now start publishing their
+  // changes BEFORE the registration evaluation snapshots them: a change
+  // landing after the watch is queued, one landing before it is in the
+  // snapshot. Changes predating this instant are irrelevant.
+  if (!newly_watched.empty()) host_->SubscriptionWatch(newly_watched, true);
   // The registration answer ships immediately at epoch 1, so a subscriber
   // always holds an answer (and the lockstep harness has a fixed point to
   // compare from).
@@ -64,7 +62,12 @@ int64_t SubscriptionManager::Subscribe(const Query& query, double delta,
 
 bool SubscriptionManager::Unsubscribe(int64_t sub_id) {
   MutexLock lock(mu_);
-  return table_.Remove(sub_id);
+  std::vector<int> released;
+  if (!table_.Remove(sub_id, &released)) return false;
+  // The last standing query over these ids is gone: their changes stop
+  // costing the write path a queued notification.
+  if (!released.empty()) host_->SubscriptionWatch(released, false);
+  return true;
 }
 
 bool SubscriptionManager::Reprecision(int64_t sub_id, double delta,
@@ -94,9 +97,15 @@ bool SubscriptionManager::Reprecision(int64_t sub_id, double delta,
 
 void SubscriptionManager::OnIntervalChanges(const std::vector<int>& ids,
                                             int64_t now) {
-  // Hot-path early-out: a table nobody ever subscribed to costs one
-  // relaxed load per engine mutation batch.
-  if (!has_subs_.load(std::memory_order_acquire)) return;
+  // Every change advances the clock, so a notification's `now` does not
+  // depend on whether the newest change hit a watched id. Within a tick
+  // this is one relaxed load; only the first report of a new tick CASes.
+  int64_t seen = pending_now_.load(std::memory_order_relaxed);
+  while (now > seen && !pending_now_.compare_exchange_weak(
+                           seen, now, std::memory_order_relaxed)) {
+  }
+  // Unwatched ids only: nothing to evaluate, so no lock and no wakeup.
+  if (ids.empty()) return;
   bool added = false;
   {
     MutexLock lock(pending_mu_);
@@ -111,7 +120,6 @@ void SubscriptionManager::OnIntervalChanges(const std::vector<int>& ids,
         added = true;
       }
     }
-    if (now > pending_now_) pending_now_ = now;
   }
   if (added) pending_cv_.NotifyOne();
 }
@@ -127,7 +135,9 @@ void SubscriptionManager::NotifierLoop() {
       batch.clear();
       batch.swap(pending_ids_);
       pending_set_.clear();
-      now = pending_now_;
+      // The enqueuer advanced the clock before taking pending_mu_, so this
+      // load sees at least the `now` of every id in the batch.
+      now = pending_now_.load(std::memory_order_relaxed);
       notifier_busy_ = true;
     }
     ProcessBatch(batch, now);

@@ -39,12 +39,16 @@ class SubscriptionHost {
   /// True when the engine hosts `id` (Subscribe-time validation).
   virtual bool SubscriptionOwns(int id) const = 0;
 
-  /// Called once, on the first successful Subscribe, so the engine can
-  /// turn on the write path's dirty-id tracking lazily — an engine nobody
-  /// ever subscribes to pays nothing for the change-detection hook. Takes
-  /// the engine's shard locks; called with the manager mutex held (lock
-  /// order: manager mutex → shard locks, same as SubscriptionPull).
-  virtual void SubscriptionActivate() = 0;
+  /// Watches (`watched` true) or releases each of `ids` on the write path:
+  /// a watched id's changes are handed to the change sink, an unwatched
+  /// id's changes only advance the sink's clock. The manager watches an id
+  /// when its first standing query arrives — before the registration
+  /// evaluation snapshots it, so no change can fall between snapshot and
+  /// watch — and releases it when the last one leaves. Takes each id's
+  /// owning shard lock exclusively; called with the manager mutex held
+  /// (lock order: manager mutex → shard locks, same as SubscriptionPull).
+  virtual void SubscriptionWatch(const std::vector<int>& ids,
+                                 bool watched) = 0;
 };
 
 /// Tallies observable without the manager's mutex. The fields are
@@ -105,14 +109,17 @@ struct SubscriptionCounters {
 /// per polling client.
 ///
 /// Threading. OnIntervalChanges (the IntervalChangeSink side) only
-/// enqueues — it is called under engine shard locks; a dedicated notifier
-/// thread drains the pending ids, re-evaluates affected subscriptions in
-/// sub_id order, and pushes notifications in per-subscription epoch order
-/// (all hub pushes happen under the manager mutex). A full hub therefore
-/// backpressures the notifier and the Subscribe/Reprecision APIs — the
-/// UpdateBus discipline on the push half. Lock order: manager mutex →
-/// engine shard locks; engines call the sink with shard locks held and the
-/// sink takes only the (leaf) pending-queue mutex.
+/// enqueues — it is called under engine shard locks, and only for ids
+/// some subscription covers (the manager keeps the engine's per-id watch
+/// flags in step with the table's postings via SubscriptionWatch); a
+/// dedicated notifier thread drains the pending ids, re-evaluates
+/// affected subscriptions in sub_id order, and pushes notifications in
+/// per-subscription epoch order (all hub pushes happen under the manager
+/// mutex). A full hub therefore backpressures the notifier and the
+/// Subscribe/Reprecision APIs — the UpdateBus discipline on the push half.
+/// Lock order: manager mutex → engine shard locks; engines call the sink
+/// with shard locks held and the sink takes only the (leaf) pending-queue
+/// mutex, and only when a watched id changed.
 class SubscriptionManager : public IntervalChangeSink {
  public:
   /// `host` must outlive the manager. `hub_capacity` bounds the hub
@@ -152,6 +159,8 @@ class SubscriptionManager : public IntervalChangeSink {
   // -- the engine-facing hook ------------------------------------------
 
   /// IntervalChangeSink: enqueue-only, called under engine shard locks.
+  /// Every call advances the notifier's clock to `now`; only a non-empty
+  /// `ids` takes the pending-queue mutex.
   void OnIntervalChanges(const std::vector<int>& ids, int64_t now) override;
 
   // -- delivery and observability --------------------------------------
@@ -225,7 +234,7 @@ class SubscriptionManager : public IntervalChangeSink {
   obs::HistogramMetric delivery_lag_ticks_{1.0, 4096.0, 48};
 
   /// Subscriptions, epochs, escalation ledger. Rank kSubscriptionManager:
-  /// taken BEFORE engine shard locks (SubscriptionActivate /
+  /// taken BEFORE engine shard locks (SubscriptionWatch /
   /// SubscriptionPull / snapshot evaluation run under it).
   mutable Mutex mu_{LockRank::kSubscriptionManager, "subs.mu"};
   SubscriptionTable table_ APC_GUARDED_BY(mu_);
@@ -235,11 +244,13 @@ class SubscriptionManager : public IntervalChangeSink {
   /// appended in evaluation order, shipped FIFO by FlushOutboxLocked
   /// before mu_ is released (capacity is retained across bursts).
   std::vector<Notification> outbox_ APC_GUARDED_BY(mu_);
-  /// True once any subscription was ever added; lets the hot sink path
-  /// skip enqueueing when nobody is listening.
-  // contracts-lint: allow(raw-atomic) -- lock-free fast-path flag read on
-  // every engine mutation batch; not an observability tally.
-  std::atomic<bool> has_subs_{false};
+
+  /// The notifier's clock: the latest `now` any engine change reported,
+  /// watched or not. Each batch is evaluated at its value when drained.
+  // contracts-lint: allow(raw-atomic) -- lock-free running maximum the
+  // write path advances on every change batch, including the unwatched
+  // ones that must not take pending_mu_; not an observability tally.
+  std::atomic<int64_t> pending_now_{0};
 
   /// The change sink's lock. Rank kSinkPending: engines call the sink
   /// with shard locks held (kEngineShard/kEdgeShard -> kSinkPending), and
@@ -249,7 +260,6 @@ class SubscriptionManager : public IntervalChangeSink {
   CondVar quiescent_cv_;
   std::vector<int> pending_ids_ APC_GUARDED_BY(pending_mu_);
   std::unordered_set<int> pending_set_ APC_GUARDED_BY(pending_mu_);
-  int64_t pending_now_ APC_GUARDED_BY(pending_mu_) = 0;
   bool stop_ APC_GUARDED_BY(pending_mu_) = false;
   bool notifier_busy_ APC_GUARDED_BY(pending_mu_) = false;
   // contracts-lint: allow(raw-atomic) -- quiescence gate read lock-free by

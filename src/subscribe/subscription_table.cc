@@ -4,7 +4,8 @@
 
 namespace apc {
 
-int64_t SubscriptionTable::Add(const Query& query, double delta) {
+int64_t SubscriptionTable::Add(const Query& query, double delta,
+                               std::vector<int>* newly_watched) {
   int64_t sub_id = next_id_++;
   Subscription sub;
   sub.sub_id = sub_id;
@@ -14,6 +15,7 @@ int64_t SubscriptionTable::Add(const Query& query, double delta) {
   subs_.emplace(sub_id, std::move(sub));
   for (int id : query.source_ids) {
     std::vector<int64_t>& posting = postings_[id];
+    if (posting.empty()) newly_watched->push_back(id);
     // A duplicated id within one query must not double-post the sub; the
     // fresh sub_id can only have been pushed by this very loop, always at
     // the back.
@@ -24,7 +26,7 @@ int64_t SubscriptionTable::Add(const Query& query, double delta) {
   return sub_id;
 }
 
-bool SubscriptionTable::Remove(int64_t sub_id) {
+bool SubscriptionTable::Remove(int64_t sub_id, std::vector<int>* released) {
   auto it = subs_.find(sub_id);
   if (it == subs_.end()) return false;
   for (int id : it->second.query.source_ids) {
@@ -32,7 +34,10 @@ bool SubscriptionTable::Remove(int64_t sub_id) {
     if (posting == postings_.end()) continue;
     auto& subs = posting->second;
     subs.erase(std::remove(subs.begin(), subs.end(), sub_id), subs.end());
-    if (subs.empty()) postings_.erase(posting);
+    if (subs.empty()) {
+      postings_.erase(posting);
+      released->push_back(id);
+    }
   }
   subs_.erase(it);
   return true;

@@ -56,11 +56,16 @@ class SubscriptionTable {
  public:
   /// Registers a standing query; returns its new sub_id (> 0, unique for
   /// the table's lifetime). `query.source_ids` must be non-empty and
-  /// `delta` >= 0 — the manager validates before calling.
-  int64_t Add(const Query& query, double delta);
+  /// `delta` >= 0 — the manager validates before calling. Appends to
+  /// `*newly_watched` each id that had no posting before: the ids whose
+  /// changes the engine must start publishing.
+  int64_t Add(const Query& query, double delta,
+              std::vector<int>* newly_watched);
 
-  /// Drops `sub_id`. Returns false when unknown.
-  bool Remove(int64_t sub_id);
+  /// Drops `sub_id`. Returns false when unknown. Appends to `*released`
+  /// each id whose posting this emptied: no standing query covers it any
+  /// more, so the engine can stop publishing its changes.
+  bool Remove(int64_t sub_id, std::vector<int>* released);
 
   /// Mutable subscription record, or nullptr when unknown.
   Subscription* Find(int64_t sub_id);

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace apc {
 
@@ -52,11 +51,18 @@ struct HeldLock {
   const char* name;  // may be null
 };
 
-// Per-thread held-capability stack, acquisition order, bottom first.
-// Plain vector: the validator only runs in debug/sanitizer builds, and
-// stacks are at most a few entries deep.
-std::vector<HeldLock>& HeldStack() {
-  thread_local std::vector<HeldLock> stack;
+// Per-thread held-capability stack, acquisition order, bottom first. A
+// fixed array, one entry per rank: ranks strictly increase up the stack,
+// so an acquisition that would overflow it is an inversion and aborts
+// first. Trivially constructed, so a thread's first lock allocates
+// nothing — the alloc-free read test counts every operator new.
+struct HeldStack {
+  HeldLock entries[kLockRankCount];
+  size_t depth;
+};
+
+HeldStack& Held() {
+  thread_local HeldStack stack{};
   return stack;
 }
 
@@ -74,18 +80,18 @@ void RunAbortHook(const char* reason) {
 }
 
 [[noreturn]] void Die(LockRank rank, const char* name,
-                      const std::vector<HeldLock>& held) {
+                      const HeldStack& held) {
   RunAbortHook("lock-order violation (inverted acquisition)");
   std::fprintf(stderr,
                "lock-order violation: thread acquiring '%s' (class %s, rank "
                "%u) while already holding %zu lock(s):\n",
                NameOrRank(rank, name), LockRankName(rank),
-               static_cast<unsigned>(rank), held.size());
-  for (size_t i = 0; i < held.size(); ++i) {
+               static_cast<unsigned>(rank), held.depth);
+  for (size_t i = 0; i < held.depth; ++i) {
+    const HeldLock& h = held.entries[i];
     std::fprintf(stderr, "  held[%zu]: '%s' (class %s, rank %u)\n", i,
-                 NameOrRank(held[i].rank, held[i].name),
-                 LockRankName(held[i].rank),
-                 static_cast<unsigned>(held[i].rank));
+                 NameOrRank(h.rank, h.name), LockRankName(h.rank),
+                 static_cast<unsigned>(h.rank));
   }
   std::fprintf(stderr,
                "  rule: acquisitions must use strictly increasing ranks "
@@ -96,21 +102,24 @@ void RunAbortHook(const char* reason) {
 }  // namespace
 
 void LockOrderValidator::OnAcquire(LockRank rank, const char* name) {
-  std::vector<HeldLock>& held = HeldStack();
-  for (const HeldLock& h : held) {
-    if (h.rank >= rank) Die(rank, name, held);
+  HeldStack& held = Held();
+  for (size_t i = 0; i < held.depth; ++i) {
+    if (held.entries[i].rank >= rank) Die(rank, name, held);
   }
-  held.push_back(HeldLock{rank, name});
+  held.entries[held.depth++] = HeldLock{rank, name};
 }
 
 void LockOrderValidator::OnRelease(LockRank rank, const char* name) {
-  std::vector<HeldLock>& held = HeldStack();
+  HeldStack& held = Held();
   // Scan from the top: releases are almost always LIFO, but scoped locks
   // may legally unwind out of order, so match the newest entry of this
   // rank/name instead of requiring the top.
-  for (size_t i = held.size(); i-- > 0;) {
-    if (held[i].rank == rank && held[i].name == name) {
-      held.erase(held.begin() + static_cast<ptrdiff_t>(i));
+  for (size_t i = held.depth; i-- > 0;) {
+    if (held.entries[i].rank == rank && held.entries[i].name == name) {
+      for (size_t j = i + 1; j < held.depth; ++j) {
+        held.entries[j - 1] = held.entries[j];
+      }
+      --held.depth;
       return;
     }
   }
@@ -123,7 +132,7 @@ void LockOrderValidator::OnRelease(LockRank rank, const char* name) {
   std::abort();
 }
 
-size_t LockOrderValidator::HeldDepth() { return HeldStack().size(); }
+size_t LockOrderValidator::HeldDepth() { return Held().depth; }
 
 #endif  // APC_LOCK_ORDER
 

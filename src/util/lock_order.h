@@ -36,7 +36,7 @@ enum class LockRank : uint16_t {
   /// first on start/stop paths that then close queues and join threads.
   kControl = 10,
   /// SubscriptionManager::mu_ — taken before engine shard locks
-  /// (SubscriptionActivate / SubscriptionPull / snapshot evaluation).
+  /// (SubscriptionWatch / SubscriptionPull / snapshot evaluation).
   kSubscriptionManager = 20,
   /// ShardedEngine's Shard::mu_ and TieredEngine's RegionalShard::mu —
   /// one at a time, after the manager mutex, before edge locks.
@@ -68,6 +68,10 @@ enum class LockRank : uint16_t {
   /// record while engine locks may be held.
   kObsTrace = 85,
 };
+
+/// Number of LockRank values — update with the enum. Ranks strictly
+/// increase along a thread's held stack, so no thread holds more locks.
+inline constexpr size_t kLockRankCount = 11;
 
 /// Human-readable name of a rank's lock class (never null).
 const char* LockRankName(LockRank rank);

@@ -14,7 +14,7 @@
 // empty inlines and the same inverted acquisitions must pass through.
 //
 // The inversion cases mirror the repo's real nesting paths with the real
-// lock classes: manager -> shard (SubscriptionActivate), regional -> edge
+// lock classes: manager -> shard (SubscriptionWatch), regional -> edge
 // (TieredEngine fan-out), shard -> pending (the change-sink leaf). The
 // death tests drive fresh mutexes of those classes rather than whole
 // engines so the abort happens on exactly the edge under test.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/adaptive_policy.h"
 #include "core/precision_policy.h"
@@ -253,6 +254,102 @@ TEST(ProtocolTableTest, OptimisticReadMatchesAuthoritativeOverTime) {
               SnapshotRead::kHit);
     EXPECT_EQ(optimistic, table.VisibleInterval(5, now));
   }
+}
+
+// -- change detection: only watched ids are reported ---------------------
+
+/// Drains `table`'s dirty ids into a fresh vector.
+std::vector<int> Drain(ProtocolTable& table) {
+  std::vector<int> ids;
+  table.DrainDirtyIds(&ids);
+  return ids;
+}
+
+TEST(ProtocolTableTest, DrainReportsAppliedOfferOfWatchedId) {
+  ProtocolTable table(TableConfig(4), /*seed=*/3);
+  ASSERT_TRUE(table.Register(0));
+  ASSERT_TRUE(table.SetWatched(0, true));
+  EXPECT_FALSE(table.SetWatched(9, true)) << "no slot, nothing to watch";
+  ProtocolCell cell = MakeCell(0.0, DeterministicParams());
+
+  table.OfferInitial(0, cell, 0.0, 0);
+  EXPECT_TRUE(table.has_changes());
+  // Two changes in one drain window report the id once.
+  ASSERT_TRUE(table.OnValueTick(0, cell, 0.6, 1).refreshed);
+  EXPECT_EQ(Drain(table), std::vector<int>{0});
+  EXPECT_FALSE(table.has_changes());
+  EXPECT_TRUE(Drain(table).empty());
+
+  // The dedup resets with the window: the next change reports again.
+  table.Pull(0, cell, 0.6, 2);
+  EXPECT_EQ(Drain(table), std::vector<int>{0});
+}
+
+TEST(ProtocolTableTest, DrainReportsWatchedIdEvictedByUnwatchedOffer) {
+  ProtocolTable table(TableConfig(1), /*seed=*/3);
+  ASSERT_TRUE(table.Register(0));
+  ASSERT_TRUE(table.Register(1));
+  ASSERT_TRUE(table.SetWatched(0, true));
+
+  AdaptivePolicyParams wide = DeterministicParams();
+  wide.initial_width = 8.0;
+  ProtocolCell wide_cell = MakeCell(0.0, wide);
+  ProtocolCell narrow_cell = MakeCell(0.0, DeterministicParams());
+  table.OfferInitial(0, wide_cell, 0.0, 0);
+  EXPECT_EQ(Drain(table), std::vector<int>{0});
+
+  // The narrower offer of unwatched id 1 evicts watched id 0: id 0's
+  // visible interval widened to unbounded, which its subscribers must
+  // hear about; id 1's own change is not reported.
+  table.OfferInitial(1, narrow_cell, 0.0, 1);
+  ASSERT_EQ(table.Find(0), nullptr);
+  ASSERT_NE(table.Find(1), nullptr);
+  EXPECT_TRUE(table.has_changes());
+  EXPECT_EQ(Drain(table), std::vector<int>{0});
+}
+
+TEST(ProtocolTableTest, DrainReportsNothingForChargedButLostPush) {
+  ProtocolTable table(TableConfig(4, /*push_loss_probability=*/1.0),
+                      /*seed=*/3);
+  ASSERT_TRUE(table.Register(0));
+  ASSERT_TRUE(table.SetWatched(0, true));
+  ProtocolCell cell = MakeCell(0.0, DeterministicParams());
+
+  ValueTickOutcome outcome = table.OnValueTick(0, cell, 5.0, 1);
+  ASSERT_TRUE(outcome.refreshed);
+  ASSERT_TRUE(outcome.lost);
+  // The cache never saw the push, so nothing it holds changed.
+  EXPECT_FALSE(table.has_changes());
+  EXPECT_TRUE(Drain(table).empty());
+}
+
+TEST(ProtocolTableTest, DrainReportsNothingForUnwatchedId) {
+  ProtocolTable table(TableConfig(4), /*seed=*/3);
+  ASSERT_TRUE(table.Register(0));
+  ASSERT_TRUE(table.Register(1));
+  ASSERT_TRUE(table.SetWatched(1, true));
+  ProtocolCell cell = MakeCell(0.0, DeterministicParams());
+
+  table.Pull(0, cell, 0.0, 1);
+  // The change is noted — the subscription layer's clock still advances
+  // — but the unwatched id itself is not reported.
+  EXPECT_TRUE(table.has_changes());
+  EXPECT_TRUE(Drain(table).empty());
+  EXPECT_FALSE(table.has_changes());
+}
+
+TEST(ProtocolTableTest, DrainReportsNothingAfterWatchIsReleased) {
+  ProtocolTable table(TableConfig(4), /*seed=*/3);
+  ASSERT_TRUE(table.Register(0));
+  ProtocolCell cell = MakeCell(0.0, DeterministicParams());
+  ASSERT_TRUE(table.SetWatched(0, true));
+  table.Pull(0, cell, 0.0, 1);
+  EXPECT_EQ(Drain(table), std::vector<int>{0});
+
+  ASSERT_TRUE(table.SetWatched(0, false));
+  table.Pull(0, cell, 0.0, 2);
+  EXPECT_TRUE(table.has_changes());
+  EXPECT_TRUE(Drain(table).empty());
 }
 
 }  // namespace

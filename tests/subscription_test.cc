@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +53,46 @@ Query PointQuery(int id) {
   query.kind = AggregateKind::kSum;
   query.source_ids = {id};
   return query;
+}
+
+/// The no-missed-violation probe loop, run until `done`: it picks random
+/// sources and checks that the held answer of `subs[id]` (0 while the
+/// source has no subscription yet) contains the true value. A probe counts
+/// only when no change is in flight before AND after reading the truth and
+/// the held epoch did not move by the time the second in-flight check
+/// passed, so a counted violation is a real missed notification. (The
+/// epoch is re-read after that check: the notifier ships before it stops
+/// counting a change in flight, so an evaluation that completes between
+/// the two reads still shows up as a new epoch.)
+void ProbeHeldAnswers(const ShardedEngine& engine,
+                      const std::vector<std::atomic<int64_t>>& subs,
+                      const std::atomic<bool>& done,
+                      std::atomic<int64_t>* probes,
+                      std::atomic<int64_t>* violations) {
+  Rng rng(kSeed ^ 0xC43C);
+  const SubscriptionManager& mgr = engine.subscriptions();
+  const int64_t last_id = static_cast<int64_t>(subs.size()) - 1;
+  while (!done.load(std::memory_order_relaxed)) {
+    int id = static_cast<int>(rng.UniformInt(0, last_id));
+    int64_t sub = subs[static_cast<size_t>(id)].load();
+    Interval answer;
+    int64_t epoch = 0;
+    if (sub <= 0 || !mgr.LatestAnswer(sub, &answer, &epoch)) continue;
+    if (mgr.in_flight() != 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    double truth = engine.ExactValue(id);
+    Interval answer_after;
+    int64_t epoch_after = 0;
+    if (mgr.in_flight() != 0 ||
+        !mgr.LatestAnswer(sub, &answer_after, &epoch_after) ||
+        epoch_after != epoch) {
+      continue;
+    }
+    probes->fetch_add(1);
+    if (!answer.Contains(truth)) violations->fetch_add(1);
+  }
 }
 
 std::vector<Notification> DrainHub(NotificationHub& hub) {
@@ -264,6 +305,10 @@ TEST(SubscriptionTest, SharedRefreshOnePullServesEverySubscriber) {
     subs.push_back(engine.Subscribe(PointQuery(0), /*delta=*/0.01, 0));
     ASSERT_GT(subs.back(), 0);
   }
+  // The registration escalation's own pull published id 0, so the
+  // notifier re-evaluates the subscriptions asynchronously; let it finish
+  // at t=0 instead of straddling tick 1's refresh.
+  engine.subscriptions().WaitQuiescent();
   // Registration: the first subscriber escalates once; the per-value
   // per-tick cap makes the other three ride the refreshed interval.
   EXPECT_EQ(engine.TotalCosts().query_refreshes, 1);
@@ -323,7 +368,10 @@ TEST(SubscriptionTest, ReprecisionTightensWithoutReregistration) {
   EXPECT_DOUBLE_EQ(records[0].answer.Width(), 0.5);
   EXPECT_LE(records[0].answer.Width(), 0.6);
 
-  // Loosen to 50: nothing to say, nothing charged.
+  // Loosen to 50: nothing to say, nothing charged. The escalation's own
+  // pull published id 0, so the notifier re-evaluates the subscription
+  // asynchronously; let it finish before taking the baseline.
+  engine.subscriptions().WaitQuiescent();
   int64_t evaluations =
       engine.subscriptions().counters().evaluations.load();
   ASSERT_TRUE(engine.Reprecision(sub, 50.0, 2));
@@ -482,40 +530,16 @@ TEST(SubscriptionTest, NoMissedViolationUnderConcurrentTicks) {
   ShardedEngine engine(config, MakeSources(kSources));
   engine.PopulateInitial(0);
 
-  std::vector<int64_t> subs;
+  std::vector<std::atomic<int64_t>> subs(kSources);
   for (int id = 0; id < kSources; ++id) {
-    subs.push_back(engine.Subscribe(PointQuery(id), 3.0, 0));
+    subs[static_cast<size_t>(id)] = engine.Subscribe(PointQuery(id), 3.0, 0);
   }
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> probes{0};
   std::atomic<int64_t> violations{0};
   std::thread checker([&] {
-    Rng rng(kSeed ^ 0xC43C);
-    const SubscriptionManager& mgr = engine.subscriptions();
-    while (!done.load(std::memory_order_relaxed)) {
-      int id = static_cast<int>(rng.UniformInt(0, kSources - 1));
-      Interval answer;
-      int64_t epoch = 0;
-      if (!mgr.LatestAnswer(subs[static_cast<size_t>(id)], &answer,
-                            &epoch)) {
-        continue;
-      }
-      if (mgr.in_flight() != 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      double truth = engine.ExactValue(id);
-      Interval answer_after;
-      int64_t epoch_after = 0;
-      if (!mgr.LatestAnswer(subs[static_cast<size_t>(id)], &answer_after,
-                            &epoch_after) ||
-          epoch_after != epoch || mgr.in_flight() != 0) {
-        continue;
-      }
-      probes.fetch_add(1);
-      if (!answer.Contains(truth)) violations.fetch_add(1);
-    }
+    ProbeHeldAnswers(engine, subs, done, &probes, &violations);
   });
 
   std::thread ticker([&] {
@@ -528,6 +552,174 @@ TEST(SubscriptionTest, NoMissedViolationUnderConcurrentTicks) {
 
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(probes.load(), 0);
+}
+
+// Subscribing to ids no standing query covered before, while the pump
+// applies ticks and the no-missed-violation checker races both. A new id
+// starts publishing its changes before the registration evaluation
+// snapshots it; were the order reversed, a change landing between the two
+// would leave the fresh answer stale with nothing in flight, which the
+// checker counts. (TSan target.)
+TEST(SubscriptionTest, SubscribeNewIdsWhileTicksApply) {
+  constexpr int kSources = 16;
+  constexpr int kInitial = 4;
+  constexpr int64_t kTicks = 300;
+  EngineConfig config;
+  config.num_shards = 2;
+  config.system.cache_capacity = kSources;
+  config.seed = kSeed;
+  config.subscription_hub_capacity = 1 << 14;
+  ShardedEngine engine(config, MakeSources(kSources));
+  engine.PopulateInitial(0);
+
+  // subs[id] is 0 until source id has its subscription.
+  std::vector<std::atomic<int64_t>> subs(kSources);
+  for (int id = 0; id < kInitial; ++id) {
+    subs[static_cast<size_t>(id)] = engine.Subscribe(PointQuery(id), 3.0, 0);
+  }
+
+  ASSERT_TRUE(engine.StartUpdatePump());
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> probes{0};
+  std::atomic<int64_t> violations{0};
+  std::thread checker([&] {
+    ProbeHeldAnswers(engine, subs, done, &probes, &violations);
+  });
+  std::thread ticker([&] {
+    for (int64_t t = 1; t <= kTicks; ++t) {
+      engine.bus().Push({t, UpdateEvent::kAllSources});
+    }
+  });
+  // Spread the new registrations over the run: each waits for the pump
+  // to reach its share of the ticks, then subscribes at the tick applied.
+  auto applied_ticks = [&] {
+    return engine.counters().updates_applied.load() / kSources;
+  };
+  constexpr int kLate = kSources - kInitial;
+  for (int i = 0; i < kLate; ++i) {
+    const int64_t due = kTicks * (i + 1) / (kLate + 1);
+    while (applied_ticks() < due) std::this_thread::yield();
+    const int id = kInitial + i;
+    subs[static_cast<size_t>(id)] =
+        engine.Subscribe(PointQuery(id), 3.0, applied_ticks());
+  }
+  ticker.join();
+  engine.StopUpdatePump();
+  engine.subscriptions().WaitQuiescent();
+  // On a loaded host the checker may not have seen a quiet instant while
+  // the ticks ran; at rest nothing is in flight, so its next probe counts.
+  while (probes.load() == 0) std::this_thread::yield();
+  done.store(true);
+  checker.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  // At rest every held answer, early or late, contains the truth.
+  for (int id = 0; id < kSources; ++id) {
+    Interval answer;
+    int64_t epoch = 0;
+    ASSERT_GT(subs[static_cast<size_t>(id)].load(), 0) << "id " << id;
+    ASSERT_TRUE(engine.subscriptions().LatestAnswer(
+        subs[static_cast<size_t>(id)].load(), &answer, &epoch));
+    EXPECT_TRUE(answer.Contains(engine.ExactValue(id))) << "id " << id;
+  }
+}
+
+// The notification clock counts every change, watched or not: with one
+// subscription on id 0, a later-`now` change to unwatched id 1 still
+// stamps the next notification. Pinned on a deterministic 1-shard engine.
+TEST(SubscriptionTest, UnwatchedChangeAdvancesNotificationClock) {
+  std::vector<std::unique_ptr<Source>> sources;
+  sources.push_back(SeriesSource(0, {0.0, 10.0}));
+  sources.push_back(SeriesSource(1, {0.0, 10.0}));
+  EngineConfig config;
+  config.num_shards = 1;
+  config.system.cache_capacity = 2;
+  config.seed = kSeed;
+  ShardedEngine engine(config, std::move(sources));
+  engine.PopulateInitial(0);
+
+  int64_t sub = engine.Subscribe(PointQuery(0), /*delta=*/100.0, 0);
+  ASSERT_GT(sub, 0);
+  ASSERT_EQ(DrainHub(engine.notifications()).size(), 1u);
+
+  // A pull of unwatched id 1 at now 5 changes only id 1's interval.
+  engine.PointRead(1, /*max_width=*/0.0, /*now=*/5);
+  engine.subscriptions().WaitQuiescent();
+  EXPECT_EQ(engine.notifications().size(), 0u);
+
+  // Id 0 then escapes at the earlier now 3: its notification carries the
+  // clock's 5, not its own 3.
+  engine.TickAll(3);
+  engine.subscriptions().WaitQuiescent();
+  std::vector<Notification> records = DrainHub(engine.notifications());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].sub_id, sub);
+  EXPECT_EQ(records[0].epoch, 2);
+  EXPECT_EQ(records[0].now, 5);
+  EXPECT_TRUE(records[0].answer.Contains(engine.ExactValue(0)));
+}
+
+/// A host that logs the manager's watch and snapshot calls in order, so
+/// the watch bookkeeping is checked without an engine. It never reports
+/// changes, so the notifier thread never calls it.
+class RecordingHost : public SubscriptionHost {
+ public:
+  Interval SubscriptionSnapshot(int id, int64_t /*now*/) const override {
+    log.push_back("snapshot " + std::to_string(id));
+    return Interval::Exact(0.0);
+  }
+  Interval SubscriptionPull(int /*id*/, int64_t /*now*/) override {
+    return Interval::Exact(0.0);
+  }
+  bool SubscriptionOwns(int id) const override { return id >= 0 && id < 8; }
+  void SubscriptionWatch(const std::vector<int>& ids, bool watched) override {
+    for (int id : ids) {
+      log.push_back((watched ? "watch " : "release ") + std::to_string(id));
+    }
+  }
+
+  mutable std::vector<std::string> log;
+};
+
+// An id is watched when its first standing query arrives, before that
+// query's registration snapshot, and released when its last one leaves.
+TEST(SubscriptionTest, WatchFollowsPostingsAndPrecedesSnapshot) {
+  using Log = std::vector<std::string>;
+  RecordingHost host;
+  SubscriptionManager manager(&host, /*hub_capacity=*/16);
+
+  Query first;
+  first.kind = AggregateKind::kSum;
+  first.source_ids = {0, 1, 1};  // a duplicated id is watched once
+  int64_t sub_first = manager.Subscribe(first, 1.0, 0);
+  ASSERT_GT(sub_first, 0);
+  EXPECT_EQ(host.log,
+            (Log{"watch 0", "watch 1", "snapshot 0", "snapshot 1",
+                 "snapshot 1"}));
+
+  host.log.clear();
+  Query second;
+  second.kind = AggregateKind::kMax;
+  second.source_ids = {1, 2};
+  int64_t sub_second = manager.Subscribe(second, 1.0, 0);
+  ASSERT_GT(sub_second, 0);
+  EXPECT_EQ(host.log, (Log{"watch 2", "snapshot 1", "snapshot 2"}))
+      << "id 1 is already watched";
+
+  host.log.clear();
+  EXPECT_EQ(manager.Subscribe(PointQuery(99), 1.0, 0), -1);
+  EXPECT_TRUE(host.log.empty()) << "a rejected query watches nothing";
+
+  ASSERT_TRUE(manager.Unsubscribe(sub_first));
+  EXPECT_EQ(host.log, (Log{"release 0"})) << "id 1 is still covered";
+
+  host.log.clear();
+  ASSERT_TRUE(manager.Unsubscribe(sub_second));
+  EXPECT_EQ(host.log, (Log{"release 1", "release 2"}));
+
+  host.log.clear();
+  EXPECT_FALSE(manager.Unsubscribe(sub_second));
+  EXPECT_TRUE(host.log.empty());
 }
 
 // Shutdown must not block even when the hub is full and nobody drains:
