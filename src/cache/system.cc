@@ -81,9 +81,9 @@ Interval CacheSystem::ExecuteQuery(const Query& query, int64_t now) {
 
 int CacheSystem::CountInvalidEntries(int64_t now) const {
   int invalid = 0;
-  for (const auto& [id, entry] : table_.entries()) {
+  table_.ForEachEntry([&](int id, const ProtocolEntry& entry) {
     if (!entry.approx.Valid(source(id)->value(), now)) ++invalid;
-  }
+  });
   return invalid;
 }
 

@@ -1,87 +1,115 @@
 #include "core/protocol_table.h"
 
+#include <cassert>
+
 #include "obs/attribution.h"
 #include "obs/trace.h"
 
 namespace apc {
 
 const ProtocolEntry* EntryStore::Find(int id) const {
-  auto it = entries_.find(id);
-  NoteSlotProbe(/*hit=*/it != entries_.end());
-  return it == entries_.end() ? nullptr : &it->second;
+  uint32_t index = IndexOf(id);
+  const Record* record = index == kNoSlot ? nullptr : &records_[index];
+  bool hit = record != nullptr && record->cached_pos != kNotCached;
+  NoteSlotProbe(hit);
+  return hit ? &record->entry : nullptr;
 }
 
-int EntryStore::WidestId() const {
-  int widest = -1;
+uint32_t EntryStore::WidestPos() const {
+  // Largest raw width, ties to the larger id: the choice does not depend
+  // on list order, which is what lets Erase swap-remove.
+  uint32_t widest = kNotCached;
+  int widest_id = -1;
   double widest_width = -1.0;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.raw_width > widest_width ||
-        (entry.raw_width == widest_width && id > widest)) {
-      widest = id;
-      widest_width = entry.raw_width;
+  for (size_t pos = 0; pos < cached_.size(); ++pos) {
+    const CachedRef& ref = cached_[pos];
+    if (ref.raw_width > widest_width ||
+        (ref.raw_width == widest_width && ref.id > widest_id)) {
+      widest = static_cast<uint32_t>(pos);
+      widest_id = ref.id;
+      widest_width = ref.raw_width;
     }
   }
   return widest;
 }
 
+int EntryStore::WidestId() const {
+  uint32_t pos = WidestPos();
+  return pos == kNotCached ? -1 : cached_[pos].id;
+}
+
 EntryStore::OfferResult EntryStore::OfferEx(int id, const CachedApprox& approx,
                                             double raw_width) {
-  OfferResult result = OfferUnmirrored(id, approx, raw_width);
-  if (result.evicted_id >= 0) {
-    if (VersionedSlot* evicted = SlotFor(result.evicted_id)) {
-      WriteSlot(*evicted, CachedApprox{}, /*cached=*/false);
+  uint32_t index = IndexOf(id);
+  OfferResult result{true, -1};
+  uint32_t pos;
+  if (index != kNoSlot && records_[index].cached_pos != kNotCached) {
+    pos = records_[index].cached_pos;  // replace in place
+  } else if (cached_.size() < capacity_) {
+    pos = static_cast<uint32_t>(cached_.size());
+    cached_.push_back({});
+  } else {
+    pos = WidestPos();  // kNotCached when χ == 0
+    // "the modified approximation may still be the widest and remain
+    // uncached" — ties keep the incumbent to avoid pointless churn.
+    if (pos == kNotCached || raw_width >= cached_[pos].raw_width) {
+      return {false, -1};
     }
+    const CachedRef& evicted = cached_[pos];
+    records_[evicted.index].cached_pos = kNotCached;
+    result.evicted_id = evicted.id;
+    // Unpublished before the offered slot is published, so no reader sees
+    // both cached at once.
+    WriteSlot(slab_[evicted.index], CachedApprox{}, /*cached=*/false);
+#if APC_CACHE_INSTRUMENT
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+#endif
   }
-  if (result.cached) {
-    if (VersionedSlot* slot = SlotFor(id)) {
-      WriteSlot(*slot, approx, /*cached=*/true);
-    }
-  }
+  if (index == kNoSlot) index = AddIndex(id, /*bare=*/true);
+  Record& record = records_[index];
+  record.entry = ProtocolEntry{approx, raw_width};
+  record.cached_pos = pos;
+  cached_[pos] = CachedRef{raw_width, id, index};
+  WriteSlot(slab_[index], approx, /*cached=*/true);
   return result;
 }
 
-EntryStore::OfferResult EntryStore::OfferUnmirrored(int id,
-                                                    const CachedApprox& approx,
-                                                    double raw_width) {
-  auto it = entries_.find(id);
-  if (it != entries_.end()) {
-    it->second.approx = approx;
-    it->second.raw_width = raw_width;
-    return {true, -1};
-  }
-  if (entries_.size() < capacity_) {
-    entries_.emplace(id, ProtocolEntry{approx, raw_width});
-    return {true, -1};
-  }
-  if (capacity_ == 0) return {false, -1};
-  int widest = WidestId();
-  const ProtocolEntry& incumbent = entries_.at(widest);
-  // "the modified approximation may still be the widest and remain
-  // uncached" — ties keep the incumbent to avoid pointless churn.
-  if (raw_width >= incumbent.raw_width) return {false, -1};
-  entries_.erase(widest);
-  entries_.emplace(id, ProtocolEntry{approx, raw_width});
-#if APC_CACHE_INSTRUMENT
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-#endif
-  return {true, widest};
-}
-
 void EntryStore::Erase(int id) {
-  if (entries_.erase(id) == 0) return;
-  if (VersionedSlot* slot = SlotFor(id)) {
-    WriteSlot(*slot, CachedApprox{}, /*cached=*/false);
-  }
+  uint32_t index = IndexOf(id);
+  if (index == kNoSlot) return;
+  uint32_t pos = records_[index].cached_pos;
+  if (pos == kNotCached) return;
+  // Swap-remove keeps the cached list compact.
+  cached_[pos] = cached_.back();
+  records_[cached_[pos].index].cached_pos = pos;
+  cached_.pop_back();
+  records_[index].cached_pos = kNotCached;
+  WriteSlot(slab_[index], CachedApprox{}, /*cached=*/false);
 }
 
 bool EntryStore::RegisterSlot(int id) {
-  if (SlotIndexOf(id) != kNoSlot) return false;
-  if (num_slots_ == slab_capacity_) {
+  uint32_t known = RawIndexOf(id);
+  if (known == kNoSlot) {
+    AddIndex(id, /*bare=*/false);
+  } else if ((known & kBareBit) != 0) {
+    // A bare id turns registered in place; its slot has mirrored every
+    // change all along.
+    MapId(id, known & ~kBareBit);
+  } else {
+    return false;  // duplicate
+  }
+  ++num_slots_;
+  return true;
+}
+
+uint32_t EntryStore::AddIndex(int id, bool bare) {
+  const size_t count = records_.size();
+  if (count == slab_capacity_) {
     size_t next = slab_capacity_ == 0 ? 64 : slab_capacity_ * 2;
     auto grown = std::make_unique<VersionedSlot[]>(next);
-    // Registration is single-threaded by contract, so relaxed copies of
-    // the atomic payloads are safe; readers only start after it ends.
-    for (size_t i = 0; i < num_slots_; ++i) {
+    // Growth is single-threaded by contract (registration, or a bare id of
+    // a store no lock-free reader holds), so relaxed copies are safe.
+    for (size_t i = 0; i < count; ++i) {
       const VersionedSlot& from = slab_[i];
       VersionedSlot& to = grown[i];
       to.version.store(from.version.load(std::memory_order_relaxed),
@@ -104,16 +132,21 @@ bool EntryStore::RegisterSlot(int id) {
     slab_ = std::move(grown);
     slab_capacity_ = next;
   }
-  uint32_t index = static_cast<uint32_t>(num_slots_++);
+  uint32_t index = static_cast<uint32_t>(count);
+  records_.emplace_back();
+  MapId(id, bare ? index | kBareBit : index);
+  return index;
+}
+
+void EntryStore::MapId(int id, uint32_t value) {
   if (id >= 0 && static_cast<size_t>(id) < kDenseIdLimit) {
     if (dense_index_.size() <= static_cast<size_t>(id)) {
       dense_index_.resize(static_cast<size_t>(id) + 1, kNoSlot);
     }
-    dense_index_[static_cast<size_t>(id)] = index;
+    dense_index_[static_cast<size_t>(id)] = value;
   } else {
-    sparse_index_.emplace(id, index);
+    sparse_index_[id] = value;
   }
-  return true;
 }
 
 void EntryStore::WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
@@ -132,6 +165,47 @@ void EntryStore::WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
   slot.growth_exp.store(approx.growth_exp, std::memory_order_relaxed);
   slot.drift_rate.store(approx.drift_rate, std::memory_order_relaxed);
   slot.version.store(v + 2, std::memory_order_release);
+}
+
+SnapshotRead EntryStore::TryVisibleInterval(int id, int64_t now,
+                                            Interval* out) const {
+  // Dense ids: one vector load to find the slot, one cache line to read
+  // it — no hashing, no pointer chasing on the optimistic path.
+  uint32_t index = SlotIndexOf(id);
+  if (index == kNoSlot) {
+    *out = Interval::Unbounded();
+    return SnapshotRead::kMiss;
+  }
+  const VersionedSlot& slot = slab_[index];
+  uint32_t v1 = slot.version.load(std::memory_order_acquire);
+  if (v1 & 1u) return SnapshotRead::kTorn;  // write in progress
+  bool cached = slot.cached.load(std::memory_order_relaxed);
+  double lo = slot.lo.load(std::memory_order_relaxed);
+  double hi = slot.hi.load(std::memory_order_relaxed);
+  int64_t refresh_time = slot.refresh_time.load(std::memory_order_relaxed);
+  double growth_coeff = slot.growth_coeff.load(std::memory_order_relaxed);
+  double growth_exp = slot.growth_exp.load(std::memory_order_relaxed);
+  double drift_rate = slot.drift_rate.load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.version.load(std::memory_order_relaxed) != v1) {
+    return SnapshotRead::kTorn;
+  }
+  // Only a validated copy is materialized: a torn {lo, hi} pair could
+  // violate lo <= hi and must never reach the Interval constructor.
+  if (!cached) {
+    NoteSlotProbe(/*hit=*/false);
+    *out = Interval::Unbounded();
+    return SnapshotRead::kMiss;
+  }
+  NoteSlotProbe(/*hit=*/true);
+  CachedApprox approx;
+  approx.base = Interval(lo, hi);
+  approx.refresh_time = refresh_time;
+  approx.growth_coeff = growth_coeff;
+  approx.growth_exp = growth_exp;
+  approx.drift_rate = drift_rate;
+  *out = approx.AtTime(now);
+  return SnapshotRead::kHit;
 }
 
 ProtocolTable::ProtocolTable(const Config& config, uint64_t seed)
@@ -173,6 +247,9 @@ void ProtocolTable::DrainDirtyIds(std::vector<int>* out) {
 
 void ProtocolTable::OfferMirrored(int id, const CachedApprox& approx,
                                   double raw_width) {
+  // An unregistered id would grow the store's index under lock-free
+  // readers.
+  assert(Registered(id));
   // The store publishes the slab mirror itself (evicted slot first, then
   // the offered slot); this layer adds the trace and dirty-id outcomes.
   EntryStore::OfferResult result = store_.OfferEx(id, approx, raw_width);
@@ -280,47 +357,6 @@ Interval ProtocolTable::VisibleInterval(int id, int64_t now) const {
   const ProtocolEntry* entry = store_.Find(id);
   if (entry == nullptr) return Interval::Unbounded();
   return entry->approx.AtTime(now);
-}
-
-SnapshotRead ProtocolTable::TryVisibleInterval(int id, int64_t now,
-                                               Interval* out) const {
-  // Dense ids: one vector load to find the slot, one cache line to read
-  // it — no hashing, no pointer chasing on the optimistic path.
-  uint32_t index = store_.SlotIndexOf(id);
-  if (index == EntryStore::kNoSlot) {
-    *out = Interval::Unbounded();
-    return SnapshotRead::kMiss;
-  }
-  const VersionedSlot& slot = store_.SlotAt(index);
-  uint32_t v1 = slot.version.load(std::memory_order_acquire);
-  if (v1 & 1u) return SnapshotRead::kTorn;  // write in progress
-  bool cached = slot.cached.load(std::memory_order_relaxed);
-  double lo = slot.lo.load(std::memory_order_relaxed);
-  double hi = slot.hi.load(std::memory_order_relaxed);
-  int64_t refresh_time = slot.refresh_time.load(std::memory_order_relaxed);
-  double growth_coeff = slot.growth_coeff.load(std::memory_order_relaxed);
-  double growth_exp = slot.growth_exp.load(std::memory_order_relaxed);
-  double drift_rate = slot.drift_rate.load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (slot.version.load(std::memory_order_relaxed) != v1) {
-    return SnapshotRead::kTorn;
-  }
-  // Only a validated copy is materialized: a torn {lo, hi} pair could
-  // violate lo <= hi and must never reach the Interval constructor.
-  if (!cached) {
-    store_.NoteSlotProbe(/*hit=*/false);
-    *out = Interval::Unbounded();
-    return SnapshotRead::kMiss;
-  }
-  store_.NoteSlotProbe(/*hit=*/true);
-  CachedApprox approx;
-  approx.base = Interval(lo, hi);
-  approx.refresh_time = refresh_time;
-  approx.growth_coeff = growth_coeff;
-  approx.growth_exp = growth_exp;
-  approx.drift_rate = drift_rate;
-  *out = approx.AtTime(now);
-  return SnapshotRead::kHit;
 }
 
 }  // namespace apc

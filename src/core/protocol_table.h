@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -28,13 +29,14 @@ struct ProtocolEntry {
 };
 
 /// Seqlock-protected mirror of one registered id's cached entry — the HOT
-/// half of the store's hot/cold split (the cold eviction metadata stays in
-/// the entry map). Writers (under the owner's exclusive synchronization)
-/// bump `version` to odd, store the payload with relaxed atomics, then
-/// publish an even version; readers validate the version around a relaxed
-/// copy. Plain fields would be a data race; atomics make the optimistic
-/// path well-defined. The struct is sized and aligned to one cache line so
-/// an optimistic read touches exactly one line and slots never false-share.
+/// half of the store's hot/cold split (the authoritative entry and the
+/// eviction metadata are the cold half). Writers (under the owner's
+/// exclusive synchronization) bump `version` to odd, store the payload with
+/// relaxed atomics, then publish an even version; readers validate the
+/// version around a relaxed copy. Plain fields would be a data race;
+/// atomics make the optimistic path well-defined. The struct is sized and
+/// aligned to one cache line so an optimistic read touches exactly one line
+/// and slots never false-share.
 // contracts-lint: allow(raw-atomic) -- seqlock slot payload: the atomics
 // ARE the synchronization protocol (version-validated optimistic reads),
 // not a tally; a mutex here would defeat the lock-free read path.
@@ -49,6 +51,18 @@ struct alignas(64) VersionedSlot {
   std::atomic<double> drift_rate{0.0};
 };
 
+/// Result of an optimistic (seqlock-validated) read of one entry.
+enum class SnapshotRead {
+  /// A concurrent writer raced the read; nothing can be concluded — the
+  /// caller must fall back to a locked read.
+  kTorn,
+  /// Definitive: the id is not cached (or was never registered); a query
+  /// sees the unbounded interval.
+  kMiss,
+  /// Definitive: `*out` holds the visible interval.
+  kHit,
+};
+
 /// Fixed-capacity map of interval approximations keyed by source id, with
 /// the paper's eviction rule: when full, evict the entry with the largest
 /// raw width — the least precise approximation contributes least to overall
@@ -58,23 +72,32 @@ struct alignas(64) VersionedSlot {
 /// This is the storage-and-eviction half of the protocol, factored out of
 /// the engines so the semantics exist once; `Cache` (cache/cache.h) is a
 /// thin alias kept for direct users, and ProtocolTable composes it with
-/// charging and the versioned read slots.
+/// charging and change tracking.
 ///
-/// Memory layout — the hot/cold split: ids registered via RegisterSlot get
-/// a `VersionedSlot` in one contiguous, index-addressed slab (each slot one
-/// cache line), plus a dense id→index vector so the optimistic read path
-/// does zero hashing and zero pointer chasing. The cold eviction metadata
-/// (raw widths, the full CachedApprox) stays in the per-entry map — only
-/// eviction decisions and authoritative locked reads walk it. Mutators
-/// mirror every visible-state change into the slab; direct `Cache` users
-/// that never register slots pay nothing for the mirror.
+/// Memory layout — one id index, slot-addressed arrays: every id the store
+/// knows has a dense index, found through one id→index vector (a hash map
+/// only for negative or huge ids). The index addresses three things: the
+/// id's `VersionedSlot` in a contiguous slab (the HOT half, each slot one
+/// cache line, read lock-free), its authoritative `ProtocolEntry` (the COLD
+/// half, touched only under the owner's lock), and its position in a
+/// compact list of the cached entries' raw widths, which is all the O(χ)
+/// widest-entry scan reads. Owners that keep per-id state of their own
+/// index it by the same slot index, so no layer above hashes an id either.
+///
+/// Registered ids (RegisterSlot) get their index at construction, in
+/// registration order, and are visible to the lock-free slot readers. An
+/// id offered without registration (direct `Cache` use) is a BARE id: it
+/// gets an index on its first successful offer and is cached exactly like
+/// a registered one, but the slot readers report it as having no slot.
+/// Engines register every id they serve, so their slab and id index never
+/// grow after construction — the lock-free readers rely on that.
 ///
 /// Charging and locking contract: the store never charges costs (charging
 /// is ProtocolTable's job), and every method requires the owner's external
 /// synchronization — mutators exclusively, const readers at least shared.
 /// The sole exceptions are the slot readers (SlotIndexOf/SlotAt/HasSlot/
-/// num_slots): the id→index mapping is immutable once registration ends,
-/// so they are safe from any thread with no lock held.
+/// num_slots/TryVisibleInterval): the id→index mapping is immutable once
+/// registration ends, so they are safe from any thread with no lock held.
 class EntryStore {
  public:
   /// What an Offer did, so callers maintaining derived state (the seqlock
@@ -90,9 +113,10 @@ class EntryStore {
   explicit EntryStore(size_t capacity) : capacity_(capacity) {}
 
   size_t capacity() const { return capacity_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return cached_.size(); }
 
-  /// Returns the entry for `id`, or nullptr when not cached.
+  /// Returns the entry for `id`, or nullptr when not cached. The pointer
+  /// is valid until the next mutating call.
   const ProtocolEntry* Find(int id) const;
 
   /// Offers a (re)freshed approximation. Replaces in place when `id` is
@@ -104,22 +128,27 @@ class EntryStore {
   }
 
   /// Offer variant reporting the eviction, for mirrored-state maintainers.
-  /// Mirrors the change into the seqlock slab: the evicted id's slot (if
-  /// registered) is published not-cached, then the offered id's slot is
-  /// published with the fresh approximation.
+  /// Mirrors the change into the seqlock slab: the evicted id's slot is
+  /// published not-cached, then the offered id's slot is published with
+  /// the fresh approximation.
   OfferResult OfferEx(int id, const CachedApprox& approx, double raw_width);
 
   /// Drops `id` if present (used by tests and by capacity changes). The
-  /// id's slot, if registered, is published not-cached.
+  /// id's slot is published not-cached.
   void Erase(int id);
 
   /// Id of the entry with the largest raw width, or -1 when empty. Ties
-  /// keep the larger id, so the choice is deterministic regardless of map
-  /// iteration order.
+  /// keep the larger id, so the choice does not depend on storage order.
+  /// Scans the compact cached list: at most χ contiguous records.
   int WidestId() const;
 
-  const std::unordered_map<int, ProtocolEntry>& entries() const {
-    return entries_;
+  /// Calls `visit(id, entry)` for every cached entry, in unspecified
+  /// order. `visit` must not mutate the store.
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    for (const CachedRef& ref : cached_) {
+      visit(ref.id, records_[ref.index].entry);
+    }
   }
 
   // -- the seqlock slot slab -------------------------------------------
@@ -131,20 +160,20 @@ class EntryStore {
   /// Sentinel index: the id has no registered slot.
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  /// Allocates `id`'s slot in the slab. Returns false on a duplicate.
-  /// Construction-time only — must not race any other method.
+  /// Gives `id` its slot, at the next index. Returns false on a duplicate
+  /// registration. A bare id the store already caches keeps its index and
+  /// becomes registered. Construction-time only — must not race any other
+  /// method.
   bool RegisterSlot(int id);
 
-  /// Slab index of `id`'s slot, or kNoSlot. Ids in [0, kDenseIdLimit) use
-  /// one direct vector load — zero hashing on the optimistic read path;
-  /// negative or huge ids fall back to a hash lookup.
+  /// Slab index of registered `id`'s slot, or kNoSlot (unknown or bare
+  /// id). Ids in [0, kDenseIdLimit) use one direct vector load — zero
+  /// hashing on the optimistic read path; negative or huge ids fall back
+  /// to a hash lookup.
   uint32_t SlotIndexOf(int id) const {
-    if (id >= 0 && static_cast<size_t>(id) < dense_index_.size()) {
-      return dense_index_[static_cast<size_t>(id)];
-    }
-    if (sparse_index_.empty()) return kNoSlot;
-    auto it = sparse_index_.find(id);
-    return it == sparse_index_.end() ? kNoSlot : it->second;
+    uint32_t index = RawIndexOf(id);
+    // kNoSlot carries kBareBit too, so one test covers both misses.
+    return (index & kBareBit) != 0 ? kNoSlot : index;
   }
 
   /// The slot at a valid index returned by SlotIndexOf.
@@ -152,6 +181,12 @@ class EntryStore {
 
   bool HasSlot(int id) const { return SlotIndexOf(id) != kNoSlot; }
   size_t num_slots() const { return num_slots_; }
+
+  /// Optimistic lock-free read of registered `id`'s visible interval at
+  /// `now`, validated against the slot's version. Callable from any
+  /// thread with NO lock held. On kMiss (not cached, or no slot) `*out` is
+  /// the unbounded interval; on kTorn it is unspecified.
+  SnapshotRead TryVisibleInterval(int id, int64_t now, Interval* out) const;
 
   // -- compile-gated cache instrumentation ------------------------------
   // -DAPC_CACHE_INSTRUMENT=ON tallies hits/misses (Find and, via
@@ -201,26 +236,62 @@ class EntryStore {
   /// bytes per id); ids at or above it — and negative ids — use the sparse
   /// map. Chosen so a pathological sparse id can't balloon the vector.
   static constexpr size_t kDenseIdLimit = size_t{1} << 20;
+  /// Set in a bare id's index-map value: the index is real, but the slot
+  /// readers must not report it.
+  static constexpr uint32_t kBareBit = uint32_t{1} << 31;
+  /// Records' cached_pos when the id is not cached.
+  static constexpr uint32_t kNotCached = UINT32_MAX;
 
-  OfferResult OfferUnmirrored(int id, const CachedApprox& approx,
-                              double raw_width);
-  VersionedSlot* SlotFor(int id) {
-    uint32_t index = SlotIndexOf(id);
-    return index == kNoSlot ? nullptr : &slab_[index];
+  /// The cold half of one index: the authoritative entry (meaningful only
+  /// while cached) and its position in `cached_`.
+  struct Record {
+    ProtocolEntry entry;
+    uint32_t cached_pos = kNotCached;
+  };
+  /// One cached entry in the compact list the widest scan walks: its raw
+  /// width (kept equal to the record's), id, and index.
+  struct CachedRef {
+    double raw_width;
+    int id;
+    uint32_t index;
+  };
+
+  /// The id's index-map value (with kBareBit for bare ids), or kNoSlot.
+  uint32_t RawIndexOf(int id) const {
+    if (id >= 0 && static_cast<size_t>(id) < dense_index_.size()) {
+      return dense_index_[static_cast<size_t>(id)];
+    }
+    if (sparse_index_.empty()) return kNoSlot;
+    auto it = sparse_index_.find(id);
+    return it == sparse_index_.end() ? kNoSlot : it->second;
   }
+  /// Index of any known id, registered or bare, or kNoSlot.
+  uint32_t IndexOf(int id) const {
+    uint32_t index = RawIndexOf(id);
+    return index == kNoSlot ? kNoSlot : index & ~kBareBit;
+  }
+  /// Gives `id` the next index (a slab slot and a record) and maps it,
+  /// tagged with kBareBit when `bare`. Returns the index.
+  uint32_t AddIndex(int id, bool bare);
+  /// Points `id`'s index-map entry at `value` (an index, maybe tagged).
+  void MapId(int id, uint32_t value);
+  /// Position in `cached_` of the widest entry, or kNotCached when none.
+  uint32_t WidestPos() const;
   static void WriteSlot(VersionedSlot& slot, const CachedApprox& approx,
                         bool cached);
 
   size_t capacity_;
-  std::unordered_map<int, ProtocolEntry> entries_;
+  std::vector<Record> records_;   // by index
+  std::vector<CachedRef> cached_;  // compact; size() == cached count
 
-  // The slab: one cache line per registered id, contiguous, never moved
-  // after registration ends (growth only happens during registration,
-  // which is single-threaded by contract).
+  // The slab: one cache line per index, contiguous, never moved after
+  // registration ends (growth only happens during registration, which is
+  // single-threaded by contract, or for a bare id of a store no lock-free
+  // reader holds).
   std::unique_ptr<VersionedSlot[]> slab_;
-  size_t num_slots_ = 0;
+  size_t num_slots_ = 0;  // registered ids
   size_t slab_capacity_ = 0;
-  std::vector<uint32_t> dense_index_;            // id -> slab index
+  std::vector<uint32_t> dense_index_;               // id -> index
   std::unordered_map<int, uint32_t> sparse_index_;  // negative / huge ids
 
 #if APC_CACHE_INSTRUMENT
@@ -244,18 +315,6 @@ struct ValueTickOutcome {
   bool lost = false;
 };
 
-/// Result of an optimistic (seqlock-validated) read of one entry.
-enum class SnapshotRead {
-  /// A concurrent writer raced the read; nothing can be concluded — the
-  /// caller must fall back to a locked read.
-  kTorn,
-  /// Definitive: the id is not cached (or was never registered); a query
-  /// sees the unbounded interval.
-  kMiss,
-  /// Definitive: `*out` holds the visible interval.
-  kHit,
-};
-
 /// The engine-agnostic heart of the refresh protocol: the cell-driven
 /// refresh/charging state machine, the capacity-χ entry store with
 /// raw-width eviction, and per-entry versioned slots for optimistic
@@ -277,10 +336,12 @@ enum class SnapshotRead {
 /// Thread-compatibility contract: all mutating methods (and the
 /// authoritative readers) require external synchronization by the owning
 /// engine — the sequential system is single-threaded, a shard holds its
-/// mutex exclusively. `TryVisibleInterval` is the one exception: it may be
-/// called from any thread with NO lock held, and validates against the
-/// per-entry version counters that every mutation bumps; a racing write
-/// yields SnapshotRead::kTorn, never a mixed interval. All slot fields are
+/// mutex exclusively. The exceptions may be called from any thread with NO
+/// lock held: the slot-index readers (SlotOf, Registered, num_registered),
+/// which read a mapping immutable after construction, and
+/// `TryVisibleInterval`, which validates against the per-entry version
+/// counters that every mutation bumps; a racing write yields
+/// SnapshotRead::kTorn, never a mixed interval. All slot fields are
 /// atomics, so the optimistic path is data-race-free (and TSan-clean) by
 /// construction.
 ///
@@ -290,8 +351,8 @@ enum class SnapshotRead {
 /// not spelled APC_REQUIRES here because the analysis matches capability
 /// expressions structurally and cannot name "whichever mutex my owner
 /// guards me with" (see docs/STATIC_ANALYSIS.md, "where contracts live").
-/// The owners' TryVisibleInterval call sites are the sanctioned
-/// APC_NO_THREAD_SAFETY_ANALYSIS carve-outs.
+/// The owners' TryVisibleInterval and slot-index call sites are the
+/// sanctioned APC_NO_THREAD_SAFETY_ANALYSIS carve-outs.
 class ProtocolTable {
  public:
   struct Config {
@@ -310,19 +371,28 @@ class ProtocolTable {
   ProtocolTable(const ProtocolTable&) = delete;
   ProtocolTable& operator=(const ProtocolTable&) = delete;
 
-  /// Registers `id` before any concurrent access; allocates its versioned
-  /// read slot in the store's contiguous slab and its change flags
-  /// (unwatched). Returns false on a duplicate id. Charge-free. The id→slot
-  /// mapping is immutable afterwards, which is what lets TryVisibleInterval
-  /// run without any lock; registration itself is construction-time only
-  /// and must not race any other method.
+  /// Registers `id` before any concurrent access; gives it the next slot
+  /// index (its versioned read slot, its entry record, and its change
+  /// flags, unwatched). Returns false on a duplicate id. Charge-free.
+  /// Slot indices follow registration order, so an owner that appends its
+  /// per-id state (sources, cells) in the same order can index that state
+  /// by SlotOf and keep no id map of its own. The id→slot mapping is
+  /// immutable afterwards, which is what lets the slot readers run without
+  /// any lock; registration itself is construction-time only and must not
+  /// race any other method. Every id the table will ever be offered must
+  /// be registered.
   bool Register(int id) {
     if (!store_.RegisterSlot(id)) return false;
-    change_flags_.push_back(0);
+    size_t slot = store_.SlotIndexOf(id);
+    if (change_flags_.size() <= slot) change_flags_.resize(slot + 1, 0);
     return true;
   }
-  /// Charge-free and safe without the owner's lock once construction ends
-  /// (the id→slot mapping is immutable afterwards).
+  /// Slot index of registered `id`, or EntryStore::kNoSlot. Charge-free
+  /// and safe without the owner's lock once construction ends (the
+  /// id→slot mapping is immutable afterwards): one vector load for dense
+  /// ids.
+  uint32_t SlotOf(int id) const { return store_.SlotIndexOf(id); }
+  /// Charge-free and safe without the owner's lock once construction ends.
   bool Registered(int id) const { return store_.HasSlot(id); }
   /// Charge-free; safe without the owner's lock after construction.
   size_t num_registered() const { return store_.num_slots(); }
@@ -381,11 +451,12 @@ class ProtocolTable {
   Interval VisibleInterval(int id, int64_t now) const;
 
   /// Optimistic lock-free read of `id`'s visible interval: charge-free and
-  /// callable from any thread with NO lock held (the one such method — see
-  /// the class contract). On kMiss `*out` is the unbounded interval; on
-  /// kTorn `*out` is unspecified and the caller must retry under the
-  /// owner's lock.
-  SnapshotRead TryVisibleInterval(int id, int64_t now, Interval* out) const;
+  /// callable from any thread with NO lock held (see the class contract).
+  /// On kMiss `*out` is the unbounded interval; on kTorn `*out` is
+  /// unspecified and the caller must retry under the owner's lock.
+  SnapshotRead TryVisibleInterval(int id, int64_t now, Interval* out) const {
+    return store_.TryVisibleInterval(id, now, out);
+  }
 
   // -- cache view -------------------------------------------------------
   // Charge-free authoritative readers; all require the owner's
@@ -395,8 +466,11 @@ class ProtocolTable {
   size_t size() const { return store_.size(); }
   size_t capacity() const { return store_.capacity(); }
   int WidestId() const { return store_.WidestId(); }
-  const std::unordered_map<int, ProtocolEntry>& entries() const {
-    return store_.entries();
+  /// Calls `visit(id, entry)` for every cached entry (EntryStore's
+  /// visitor).
+  template <typename Visit>
+  void ForEachEntry(Visit&& visit) const {
+    store_.ForEachEntry(std::forward<Visit>(visit));
   }
 
   // -- change detection (the subscription hook) -------------------------

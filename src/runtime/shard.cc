@@ -1,6 +1,7 @@
 #include "runtime/shard.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "obs/flight_recorder.h"
@@ -39,9 +40,11 @@ bool Shard::AddSource(std::unique_ptr<Source> source) {
   // Construction-time only, but the lock keeps the guarded-member
   // contract unconditional (and is charged exactly once per source).
   WriterMutexLock lock(mu_);
-  bool inserted = by_id_.emplace(source->id(), sources_.size()).second;
-  if (!inserted) return false;  // duplicate id: rejected, caller decides
-  table_.Register(source->id());
+  // A duplicate id is rejected; the caller decides what to do with it.
+  if (!table_.Register(source->id())) return false;
+  // Registration hands out slots in order, so the new source's slot index
+  // is its position — what FindSource relies on.
+  assert(table_.SlotOf(source->id()) == sources_.size());
   sources_.push_back(std::move(source));
   return true;
 }
@@ -57,8 +60,8 @@ SnapshotRead Shard::TryVisibleIntervalNoLock(int id, int64_t now,
 }
 
 Source* Shard::FindSource(int id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : sources_[it->second].get();
+  uint32_t slot = table_.SlotOf(id);
+  return slot == EntryStore::kNoSlot ? nullptr : sources_[slot].get();
 }
 
 void Shard::SetChangeSink(IntervalChangeSink* sink) { sink_ = sink; }
@@ -320,6 +323,14 @@ Interval Shard::PointRead(int id, double max_width, int64_t now) {
   obs::TraceScope span(obs::SpanKind::kPointRead, id, now);
   obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now,
                              static_cast<int64_t>(read_mode_));
+  // An unowned id is rejected before any lock: it has no slot, so it could
+  // only miss, and a stream of bad ids must not serialize the shard
+  // against the pump on the exclusive lock.
+  const uint32_t slot = SlotOfNoLock(id);
+  if (slot == EntryStore::kNoSlot) {
+    RecordRejectedQueryId(id, now);
+    return Interval::Unbounded();
+  }
   // Fast path per mode; the exclusive baseline does the whole read under
   // its one exclusive acquisition, exactly like the original runtime — a
   // second acquisition there would bias the bench comparison.
@@ -347,12 +358,8 @@ Interval Shard::PointRead(int id, double max_width, int64_t now) {
     Interval visible = entry->approx.AtTime(now);
     if (visible.Width() <= max_width) return visible;
   }
-  Source* src = FindSource(id);
-  if (src == nullptr) {
-    RecordRejectedQueryId(id, now);
-    return Interval::Unbounded();
-  }
-  Interval result = Interval::Exact(PullExactLocked(src, now));
+  Interval result =
+      Interval::Exact(PullExactLocked(sources_[slot].get(), now));
   PublishChangesLocked(now);
   return result;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,8 +124,9 @@ class Shard {
 
   int index() const { return index_; }
   size_t num_sources() const;
-  /// Safe without the lock: the id map is immutable once construction ends.
-  bool Owns(int id) const { return by_id_.count(id) != 0; }
+  /// Safe without the lock: the table's id→slot index is immutable once
+  /// construction ends. One vector load for dense ids.
+  bool Owns(int id) const { return SlotOfNoLock(id) != EntryStore::kNoSlot; }
 
   /// Attaches the subscription subsystem's change sink. Every mutating
   /// method that changed a cached visible interval reports it to the sink
@@ -211,7 +211,7 @@ class Shard {
   /// refresh may have satisfied the bound in between, in which case
   /// nothing is charged — and pulls the exact value (one query-initiated
   /// refresh). An unowned id yields the unbounded interval, charge-free,
-  /// counted as rejected.
+  /// counted as rejected, without taking any lock.
   Interval PointRead(int id, double max_width, int64_t now);
 
   void BeginMeasurement(int64_t now);
@@ -235,7 +235,8 @@ class Shard {
   double SourceValue(int id) const;
 
  private:
-  /// Owned source for `id`, or nullptr (never throws — pump hardening).
+  /// Owned source for `id`, or nullptr (never throws — pump hardening):
+  /// `sources_[slot]`, since a source's slot index is its position.
   Source* FindSource(int id) const APC_REQUIRES_SHARED(mu_);
   void TickSourceLocked(Source* src, int64_t now) APC_REQUIRES(mu_);
   void RecordRejectedUpdateLocked(int id, int64_t now) APC_REQUIRES(mu_);
@@ -251,11 +252,17 @@ class Shard {
   /// when the shard is engine-less) plus a trace event when recording.
   void RecordSeqlockRetry(int id, int64_t now) const;
   void RecordSharedFallback(int id, int64_t now, int64_t torn_count) const;
-  /// The seqlock optimistic read — the ONE sanctioned analysis carve-out:
-  /// it touches `table_`'s versioned slots with no shard lock by design
+  /// The seqlock optimistic read — a sanctioned analysis carve-out: it
+  /// touches `table_`'s versioned slots with no shard lock by design
   /// (validation detects torn reads), which GUARDED_BY cannot type.
   SnapshotRead TryVisibleIntervalNoLock(int id, int64_t now, Interval* out)
       const APC_NO_THREAD_SAFETY_ANALYSIS;
+  /// `id`'s slot index in `table_`, or EntryStore::kNoSlot — the other
+  /// sanctioned carve-out: it reads the table's id→slot index, which is
+  /// immutable once construction ends, with no shard lock.
+  uint32_t SlotOfNoLock(int id) const APC_NO_THREAD_SAFETY_ANALYSIS {
+    return table_.SlotOf(id);
+  }
 
   const int index_;
   RuntimeCounters* const counters_;
@@ -265,14 +272,14 @@ class Shard {
   /// one at a time (never two shards nested), after the subscription
   /// manager's mutex and before edge/queue/leaf classes.
   mutable SharedMutex mu_{LockRank::kEngineShard, "shard.mu"};
+  /// In registration order, so `sources_[i]` is the source of the table's
+  /// slot i: the table's id→slot index is the shard's only id index.
   std::vector<std::unique_ptr<Source>> sources_ APC_GUARDED_BY(mu_);
-  /// Immutable once construction ends (AddSource documents this); Owns()
-  /// reads it lock-free from any thread, so it is deliberately unguarded.
-  std::unordered_map<int, size_t> by_id_;
   ProtocolTable table_ APC_GUARDED_BY(mu_);
   int64_t rejected_updates_ APC_GUARDED_BY(mu_) = 0;
   /// Set once before concurrent use (SetChangeSink documents this); the
-  /// pointee is thread-safe (it only enqueues), so unguarded like by_id_.
+  /// pointee is thread-safe (it only enqueues), so it is deliberately
+  /// unguarded.
   IntervalChangeSink* sink_ = nullptr;
   std::vector<int> dirty_scratch_ APC_GUARDED_BY(mu_);  // exclusive-lock scratch
 };

@@ -152,8 +152,10 @@ TieredEngine::TieredEngine(const TieredConfig& config,
     {
       WriterMutexLock rlock(rs->mu);
       for (int id : ids) {
-        rs->by_id.emplace(id, rs->sources.size());
+        // Slots are handed out in registration order: the source's slot
+        // index is its position in `sources` (ids are distinct).
         rs->table.Register(id);
+        assert(rs->table.SlotOf(id) == rs->sources.size());
         rs->sources.push_back(std::make_unique<Source>(
             id, std::move(streams[static_cast<size_t>(id)]),
             std::make_unique<AdaptivePolicy>(
@@ -171,8 +173,9 @@ TieredEngine::TieredEngine(const TieredConfig& config,
       es->cells.reserve(ids.size());
       for (size_t i = 0; i < ids.size(); ++i) {
         int id = ids[i];
-        es->by_id.emplace(id, es->cells.size());
+        // Same ids, same order as the regional shard: slot i everywhere.
         es->table.Register(id);
+        assert(es->table.SlotOf(id) == i);
         // The cell's constructor-time shipment is a placeholder;
         // PopulateInitial replaces it with the proper derived hull.
         es->cells.emplace_back(
@@ -244,7 +247,7 @@ int TieredEngine::ShardOf(int id) const {
 
 bool TieredEngine::Owns(int id) const {
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
-  return rs.by_id.count(id) != 0;
+  return SlotOfNoLock(rs, id) != EntryStore::kNoSlot;
 }
 
 SnapshotRead TieredEngine::TryEdgeVisibleNoLock(const EdgeShard& es, int id,
@@ -272,10 +275,11 @@ void TieredEngine::PopulateInitial(int64_t now) {
     for (auto& edge : edges_) {
       EdgeShard& es = *edge[s];
       WriterMutexLock elock(es.mu);
-      for (auto& src : rs.sources) {
-        int id = src->id();
-        Interval parent = src->cell().last_shipped().AtTime(now);
-        ProtocolCell& cell = es.cells[es.by_id.at(id)];
+      for (size_t slot = 0; slot < rs.sources.size(); ++slot) {
+        const Source& src = *rs.sources[slot];
+        int id = src.id();
+        Interval parent = src.cell().last_shipped().AtTime(now);
+        ProtocolCell& cell = es.cells[slot];
         CachedApprox approx = DerivedApprox(cell, parent, now);
         cell.ShipDerived(approx);
         es.table.OfferDerivedInitial(id, approx, cell.raw_width());
@@ -306,13 +310,15 @@ void TieredEngine::TickSourceLocked(RegionalShard& rs, int shard,
 void TieredEngine::FanOutLocked(RegionalShard& rs, int shard, int id,
                                 const Interval& parent, int64_t now,
                                 int skip_edge) {
-  (void)rs;  // the capability parameter: exclusivity of rs.mu is the contract
   obs::TraceScope span(obs::SpanKind::kFanOut, id, now);
+  // The capability parameter (exclusivity of rs.mu is the contract) also
+  // holds the id index: one slot addresses the cell on every edge.
+  const uint32_t slot = rs.table.SlotOf(id);
   for (int e = 0; e < config_.num_edges; ++e) {
     if (e == skip_edge) continue;
     EdgeShard& es = *edges_[static_cast<size_t>(e)][static_cast<size_t>(shard)];
     WriterMutexLock lock(es.mu);
-    ProtocolCell& cell = es.cells[es.by_id.at(id)];
+    ProtocolCell& cell = es.cells[slot];
     // Containment is tested against the sender-side record of what was
     // last shipped to this edge (the cell), not against the edge cache:
     // edges never report evictions, and a charged-but-lost LAN push must
@@ -336,9 +342,11 @@ void TieredEngine::FanOutLocked(RegionalShard& rs, int shard, int id,
 void TieredEngine::InstallDerived(const RegionalShard& rs, EdgeShard& es,
                                   int id, const Interval& parent,
                                   RefreshType type, int64_t now) {
-  (void)rs;  // the capability parameter: rs.mu (shared) pins `parent`
+  // The capability parameter: rs.mu (shared) pins `parent`; its table's
+  // slot index addresses the matching edge shard's cell.
+  const uint32_t slot = rs.table.SlotOf(id);
   WriterMutexLock lock(es.mu);
-  ProtocolCell& cell = es.cells[es.by_id.at(id)];
+  ProtocolCell& cell = es.cells[slot];
   cell.AdvanceWidth(type, /*escaped_above=*/false, now);
   CachedApprox approx = DerivedApprox(cell, parent, now);
   cell.ShipDerived(approx);
@@ -363,13 +371,13 @@ void TieredEngine::TickSource(int id, int64_t now) {
   int s = ShardOf(id);
   RegionalShard& rs = *regional_[static_cast<size_t>(s)];
   WriterMutexLock lock(rs.mu);
-  auto it = rs.by_id.find(id);
-  if (it == rs.by_id.end()) {
+  const uint32_t slot = rs.table.SlotOf(id);
+  if (slot == EntryStore::kNoSlot) {
     counters_.rejected_updates.fetch_add(1, std::memory_order_relaxed);
     obs::FlightRecorder::NoteRejectedInput("unowned update id", id, now);
     return;
   }
-  TickSourceLocked(rs, s, rs.sources[it->second].get(), now);
+  TickSourceLocked(rs, s, rs.sources[slot].get(), now);
   PublishRegionalChangesLocked(rs, now);
 }
 
@@ -391,14 +399,14 @@ void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
       }
       continue;
     }
-    auto it = rs.by_id.find(e.source_id);
-    if (it == rs.by_id.end()) {
+    const uint32_t slot = rs.table.SlotOf(e.source_id);
+    if (slot == EntryStore::kNoSlot) {
       counters_.rejected_updates.fetch_add(1, std::memory_order_relaxed);
       obs::FlightRecorder::NoteRejectedInput("unowned update id",
                                              e.source_id, e.now);
       continue;
     }
-    TickSourceLocked(rs, shard, rs.sources[it->second].get(), e.now);
+    TickSourceLocked(rs, shard, rs.sources[slot].get(), e.now);
   }
   PublishRegionalChangesLocked(rs, last_now);
 }
@@ -411,13 +419,14 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
   obs::TraceScope span(obs::SpanKind::kTieredRead, id, now);
   obs::ReaderScope reader(obs::ReaderKind::kQuery, /*reader_id=*/id);
   counters_.reads.fetch_add(1, std::memory_order_relaxed);
-  if (edge < 0 || edge >= config_.num_edges || !Owns(id)) {
+  const int s = ShardOf(id);
+  RegionalShard& rs = *regional_[static_cast<size_t>(s)];
+  const uint32_t slot = SlotOfNoLock(rs, id);
+  if (edge < 0 || edge >= config_.num_edges || slot == EntryStore::kNoSlot) {
     counters_.rejected_reads.fetch_add(1, std::memory_order_relaxed);
     obs::FlightRecorder::NoteRejectedInput("rejected tiered read", id, now);
     return Interval::Unbounded();
   }
-  const int s = ShardOf(id);
-  RegionalShard& rs = *regional_[static_cast<size_t>(s)];
   EdgeShard& es = *edges_[static_cast<size_t>(edge)][static_cast<size_t>(s)];
 
   // Edge-local fast path — the read the protocol optimizes for. In
@@ -483,7 +492,7 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
     obs::TraceScope source_hop(obs::SpanKind::kEscalateSource, id, now);
     obs::TraceRecorder::Record(obs::TraceEvent::kEscalateSource, id, now,
                                edge);
-    Source* src = rs.sources[rs.by_id.at(id)].get();
+    Source* src = rs.sources[slot].get();
     {
       obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
       rs.table.Pull(src->id(), src->cell(), src->value(), now);
@@ -514,7 +523,7 @@ Interval TieredEngine::SubscriptionPull(int id, int64_t now) {
   // One WAN Cqr recenters the regional interval; the fan-out ships the
   // news to every edge that fell out of containment — a subscription
   // escalation is charged exactly like an escalated read's source pull.
-  Source* src = rs.sources[rs.by_id.at(id)].get();
+  Source* src = rs.sources[rs.table.SlotOf(id)].get();
   {
     obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
     rs.table.Pull(src->id(), src->cell(), src->value(), now);
@@ -662,7 +671,7 @@ double TieredEngine::regional_raw_width(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.by_id.at(id)]->raw_width();
+  return rs.sources[rs.table.SlotOf(id)]->raw_width();
 }
 
 double TieredEngine::edge_raw_width(int edge, int id) const {
@@ -672,14 +681,14 @@ double TieredEngine::edge_raw_width(int edge, int id) const {
   const EdgeShard& es =
       *edges_[static_cast<size_t>(edge)][static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(es.mu);
-  return es.cells[es.by_id.at(id)].raw_width();
+  return es.cells[es.table.SlotOf(id)].raw_width();
 }
 
 double TieredEngine::exact_value(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.by_id.at(id)]->value();
+  return rs.sources[rs.table.SlotOf(id)]->value();
 }
 
 bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
@@ -690,7 +699,8 @@ bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
     // least shared with the then-current parent — so the check is valid
     // at any instant, not just at quiescence.
     ReaderMutexLock rlock(rs.mu);
-    for (const auto& [id, idx] : rs.by_id) {
+    for (const auto& src : rs.sources) {
+      const int id = src->id();
       const ProtocolEntry* regional = rs.table.Find(id);
       if (regional == nullptr) continue;  // evicted: nothing to compare
       Interval parent = regional->approx.AtTime(now);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -173,7 +172,8 @@ class TieredEngine : private SubscriptionHost {
   int num_shards() const { return static_cast<int>(regional_.size()); }
   size_t num_sources() const { return num_sources_; }
   int ShardOf(int id) const;
-  /// Safe without any lock: the id maps are immutable after construction.
+  /// Safe without any lock: the regional tables' id→slot indices are
+  /// immutable after construction.
   bool Owns(int id) const;
 
   /// Ships every source's initial regional approximation and every edge's
@@ -271,14 +271,18 @@ class TieredEngine : private SubscriptionHost {
   /// One partition of the regional tier: the sources hashed to it (stream
   /// + ProtocolCell with the WAN-bound policy) and their share of the
   /// regional cache, a shared-core ProtocolTable charging WAN costs.
+  ///
+  /// One id index serves the whole shard set: the table's id→slot index.
+  /// Regional shard s and every edge shard s register the same ids in the
+  /// same order, so an id's slot index addresses `sources`, every edge's
+  /// `cells`, and the slots of all those tables alike.
   struct RegionalShard {
     RegionalShard(const ProtocolTable::Config& table_config, uint64_t seed)
         : table(table_config, seed) {}
     /// Rank kEngineShard: taken after the subscription manager's mutex,
     /// before any edge shard (regional -> edge, never the reverse).
     mutable SharedMutex mu{LockRank::kEngineShard, "regional.mu"};
-    std::vector<std::unique_ptr<Source>> sources APC_GUARDED_BY(mu);
-    std::unordered_map<int, size_t> by_id;  // immutable after construction
+    std::vector<std::unique_ptr<Source>> sources APC_GUARDED_BY(mu);  // by slot
     ProtocolTable table APC_GUARDED_BY(mu);
     std::vector<int> dirty_scratch APC_GUARDED_BY(mu);  // exclusive scratch
   };
@@ -294,8 +298,7 @@ class TieredEngine : private SubscriptionHost {
     /// Rank kEdgeShard: only ever taken under the matching regional
     /// shard's lock (or alone, for edge-local snapshot reads).
     mutable SharedMutex mu{LockRank::kEdgeShard, "edge.mu"};
-    std::vector<ProtocolCell> cells APC_GUARDED_BY(mu);
-    std::unordered_map<int, size_t> by_id;  // immutable after construction
+    std::vector<ProtocolCell> cells APC_GUARDED_BY(mu);  // by slot
     ProtocolTable table APC_GUARDED_BY(mu);
   };
 
@@ -352,12 +355,19 @@ class TieredEngine : private SubscriptionHost {
   void PublishRegionalChangesLocked(RegionalShard& rs, int64_t now)
       APC_REQUIRES(rs.mu);
 
-  /// The seqlock optimistic edge read — the sanctioned analysis carve-out
+  /// The seqlock optimistic edge read — a sanctioned analysis carve-out
   /// (see Shard::TryVisibleIntervalNoLock): touches the edge table's
   /// versioned slots with no lock by design.
   static SnapshotRead TryEdgeVisibleNoLock(const EdgeShard& es, int id,
                                            int64_t now, Interval* out)
       APC_NO_THREAD_SAFETY_ANALYSIS;
+  /// `id`'s slot index in `rs`, or EntryStore::kNoSlot — the slot-index
+  /// carve-out (see Shard::SlotOfNoLock): reads the table's id→slot index,
+  /// immutable after construction, with no lock.
+  static uint32_t SlotOfNoLock(const RegionalShard& rs, int id)
+      APC_NO_THREAD_SAFETY_ANALYSIS {
+    return rs.table.SlotOf(id);
+  }
 
   /// Declared first: destroyed last, so the non-owning registrations of
   /// member-owned metrics never dangle while snapshots can be taken.

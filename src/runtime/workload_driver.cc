@@ -65,6 +65,17 @@ bool PushTickBurst(UpdateBus& bus, std::atomic<int64_t>& clock, int burst) {
   return accepted == events.size();
 }
 
+/// The drivers' progress gate: a worker with a fixed query quota starts
+/// only once the updater has finished its first burst (accepted, or cut
+/// short by a closed bus), so the quota can never run out before the
+/// updater was ever scheduled — an updating run whose bus stays open
+/// always applies at least one tick.
+void AwaitFirstBurst(const std::atomic<bool>& first_burst_done) {
+  while (!first_burst_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+}
+
 /// Merged latency/violation view over the per-thread results (histograms
 /// merge exactly because every thread uses the one shared layout).
 struct LatencySummary {
@@ -170,6 +181,10 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
   // StartUpdatePump fails when the engine's bus was already closed by a
   // previous updating run; the workload then runs against static values.
   bool updates_running = config.run_updates && engine.StartUpdatePump();
+  // Gated only when the first phase updates: a paused first phase never
+  // pushes a burst.
+  std::atomic<bool> first_burst_done{!updates_running ||
+                                     schedule.front().update_burst == 0};
   if (updates_running) {
     // The updater streams tick-all events through the bus as fast as
     // backpressure allows; a slow pump throttles it instead of the queue
@@ -189,7 +204,9 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
           std::this_thread::sleep_for(std::chrono::microseconds(50));
           continue;
         }
-        if (!PushTickBurst(engine.bus(), clock, burst)) return;
+        bool open = PushTickBurst(engine.bus(), clock, burst);
+        first_burst_done.store(true, std::memory_order_release);
+        if (!open) return;
         std::this_thread::yield();
       }
     });
@@ -202,6 +219,7 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
 
   for (int ti = 0; ti < config.num_threads; ++ti) {
     workers.emplace_back([&, ti] {
+      AwaitFirstBurst(first_burst_done);
       ThreadResult& local = results[static_cast<size_t>(ti)];
       uint64_t t = static_cast<uint64_t>(ti);
       Rng rng(config.seed ^ (0xD517ULL + 0xBF58476DULL * t));
@@ -304,10 +322,13 @@ TieredDriverReport RunTieredWorkload(TieredEngine& engine,
   std::thread updater;
   bool updates_running = config.run_updates && config.update_burst > 0 &&
                          engine.StartUpdatePump();
+  std::atomic<bool> first_burst_done{!updates_running};
   if (updates_running) {
     updater = std::thread([&] {
       while (!stop_updates.load(std::memory_order_relaxed)) {
-        if (!PushTickBurst(engine.bus(), clock, config.update_burst)) return;
+        bool open = PushTickBurst(engine.bus(), clock, config.update_burst);
+        first_burst_done.store(true, std::memory_order_release);
+        if (!open) return;
         std::this_thread::yield();
       }
     });
@@ -320,6 +341,7 @@ TieredDriverReport RunTieredWorkload(TieredEngine& engine,
 
   for (int ti = 0; ti < config.num_threads; ++ti) {
     workers.emplace_back([&, ti] {
+      AwaitFirstBurst(first_burst_done);
       ThreadResult& local = results[static_cast<size_t>(ti)];
       uint64_t t = static_cast<uint64_t>(ti);
       // A single-id "SUM" workload reuses the query generator's Zipf draw

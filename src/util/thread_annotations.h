@@ -12,8 +12,9 @@
 ///   - "caller holds mu_" methods:   void FooLocked() APC_REQUIRES(mu_);
 ///   - RAII lock types:              APC_SCOPED_CAPABILITY + ctor/dtor
 ///                                   APC_ACQUIRE / APC_RELEASE
-///   - the seqlock optimistic read path is the ONE sanctioned carve-out:
-///     wrap the lock-free access in a tiny helper marked
+///   - the lock-free accesses to a guarded ProtocolTable (the seqlock
+///     optimistic read, the immutable id→slot index) are the sanctioned
+///     carve-outs: wrap each in a tiny helper marked
 ///     APC_NO_THREAD_SAFETY_ANALYSIS so the rest of the function stays
 ///     analyzed.
 

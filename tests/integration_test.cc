@@ -116,11 +116,11 @@ TEST(IntegrationTest, CachedIntervalsStayValidAfterEveryTick) {
   RunIntervalSimulation(
       exp.ToSimConfig(), MakeTraceStreams(SharedNetworkTrace()), prototype,
       [&](int64_t now, const CacheSystem& system) {
-        for (const auto& [id, entry] : system.cache().entries()) {
+        system.cache().ForEachEntry([&](int id, const ProtocolEntry& entry) {
           if (!entry.approx.Valid(system.source(id)->value(), now)) {
             ++violations;
           }
-        }
+        });
       });
   EXPECT_EQ(violations, 0);
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_policy.h"
 #include "core/precision_policy.h"
+#include "util/rng.h"
 
 namespace apc {
 namespace {
@@ -254,6 +257,191 @@ TEST(ProtocolTableTest, OptimisticReadMatchesAuthoritativeOverTime) {
               SnapshotRead::kHit);
     EXPECT_EQ(optimistic, table.VisibleInterval(5, now));
   }
+}
+
+// -- differential test: the slot-indexed store against a reference model --
+
+/// Reference model of EntryStore: an ordered map and a linear widest scan
+/// with the documented rule (largest raw width, ties to the larger id, an
+/// equal-width offer keeps the incumbent).
+struct ModelStore {
+  size_t capacity = 0;
+  std::map<int, ProtocolEntry> entries;
+
+  int WidestId() const {
+    int widest = -1;
+    double widest_width = -1.0;
+    for (const auto& [id, entry] : entries) {
+      if (entry.raw_width > widest_width ||
+          (entry.raw_width == widest_width && id > widest)) {
+        widest = id;
+        widest_width = entry.raw_width;
+      }
+    }
+    return widest;
+  }
+
+  EntryStore::OfferResult Offer(int id, const CachedApprox& approx,
+                                double raw_width) {
+    auto it = entries.find(id);
+    if (it != entries.end()) {
+      it->second = ProtocolEntry{approx, raw_width};
+      return {true, -1};
+    }
+    if (entries.size() < capacity) {
+      entries[id] = ProtocolEntry{approx, raw_width};
+      return {true, -1};
+    }
+    if (capacity == 0) return {false, -1};
+    int widest = WidestId();
+    if (raw_width >= entries.at(widest).raw_width) return {false, -1};
+    entries.erase(widest);
+    entries[id] = ProtocolEntry{approx, raw_width};
+    return {true, widest};
+  }
+};
+
+bool SameEntry(const ProtocolEntry& a, const ProtocolEntry& b) {
+  return a.approx.base == b.approx.base &&
+         a.approx.refresh_time == b.approx.refresh_time &&
+         a.approx.growth_coeff == b.approx.growth_coeff &&
+         a.approx.growth_exp == b.approx.growth_exp &&
+         a.approx.drift_rate == b.approx.drift_rate &&
+         a.raw_width == b.raw_width;
+}
+
+/// After every step: size, WidestId, the visitor, and Find for every id
+/// agree with the model; for a registered id the lock-free slot read
+/// agrees with Find (the slab mirror), and a bare id has no slot.
+void ExpectAgrees(const EntryStore& store, const ModelStore& model,
+                  const std::vector<int>& ids, bool registered, int64_t now,
+                  const std::string& where) {
+  ASSERT_EQ(store.size(), model.entries.size()) << where;
+  EXPECT_EQ(store.WidestId(), model.WidestId()) << where;
+  std::map<int, ProtocolEntry> visited;
+  store.ForEachEntry([&](int id, const ProtocolEntry& entry) {
+    EXPECT_TRUE(visited.emplace(id, entry).second)
+        << where << ": id " << id << " visited twice";
+  });
+  ASSERT_EQ(visited.size(), model.entries.size()) << where;
+  for (const auto& [id, entry] : model.entries) {
+    auto it = visited.find(id);
+    ASSERT_NE(it, visited.end()) << where << ": id " << id << " not visited";
+    EXPECT_TRUE(SameEntry(it->second, entry)) << where << ": id " << id;
+  }
+  for (int id : ids) {
+    auto it = model.entries.find(id);
+    const ProtocolEntry* found = store.Find(id);
+    ASSERT_EQ(found != nullptr, it != model.entries.end())
+        << where << ": Find(" << id << ")";
+    if (found != nullptr) {
+      EXPECT_TRUE(SameEntry(*found, it->second)) << where << ": id " << id;
+    }
+    EXPECT_EQ(store.HasSlot(id), registered) << where << ": id " << id;
+    Interval visible;
+    SnapshotRead read = store.TryVisibleInterval(id, now, &visible);
+    if (registered && found != nullptr) {
+      ASSERT_EQ(read, SnapshotRead::kHit) << where << ": id " << id;
+      EXPECT_EQ(visible, found->approx.AtTime(now)) << where << ": id " << id;
+    } else {
+      ASSERT_EQ(read, SnapshotRead::kMiss) << where << ": id " << id;
+      EXPECT_TRUE(visible.IsUnbounded()) << where << ": id " << id;
+    }
+  }
+}
+
+/// Seeded random Offer/Erase sequences over a small id pool mixing dense,
+/// negative and huge ids, with raw widths drawn from a few values so that
+/// ties are common. `registered` pre-registers the whole pool (an
+/// engine's table); otherwise every id stays bare (direct Cache use).
+void RunDifferential(size_t capacity, bool registered, uint64_t seed) {
+  const std::vector<int> ids = {0, 1, 2, 3, 5, 8, 13, 21, 63, 64, 200,
+                                -1, -7, 1 << 21};
+  constexpr double kWidths[] = {0.0, 0.5, 1.0, 1.0, 2.0, 2.0, 2.0, 4.0};
+  EntryStore store(capacity);
+  ModelStore model;
+  model.capacity = capacity;
+  if (registered) {
+    for (int id : ids) ASSERT_TRUE(store.RegisterSlot(id));
+  }
+  // An engine's lock-free readers hold the slab and the id index, so
+  // neither may move or grow once registration ends.
+  const VersionedSlot* slab = registered ? &store.SlotAt(0) : nullptr;
+  const size_t slots = store.num_slots();
+
+  Rng rng(seed);
+  for (int64_t step = 1; step <= 600; ++step) {
+    const int id = ids[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+    const std::string where = "capacity " + std::to_string(capacity) +
+                              (registered ? " registered" : " bare") +
+                              " seed " + std::to_string(seed) + " step " +
+                              std::to_string(step);
+    if (rng.Bernoulli(0.25)) {
+      store.Erase(id);
+      model.entries.erase(id);
+    } else {
+      double raw_width = kWidths[rng.UniformInt(0, 7)];
+      CachedApprox approx;
+      double lo = rng.Uniform(-10.0, 10.0);
+      approx.base = Interval(lo, lo + raw_width);
+      approx.refresh_time = step;
+      if (rng.Bernoulli(0.5)) {
+        approx.growth_coeff = 0.25;
+        approx.growth_exp = 0.5;
+        approx.drift_rate = rng.Uniform(-1.0, 1.0);
+      }
+      EntryStore::OfferResult got = store.OfferEx(id, approx, raw_width);
+      EntryStore::OfferResult want = model.Offer(id, approx, raw_width);
+      ASSERT_EQ(got.cached, want.cached) << where;
+      ASSERT_EQ(got.evicted_id, want.evicted_id) << where;
+    }
+    ExpectAgrees(store, model, ids, registered, step + 3, where);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(store.num_slots(), slots) << where;
+    if (registered) {
+      EXPECT_EQ(&store.SlotAt(0), slab) << where;
+    }
+  }
+}
+
+TEST(EntryStoreTest, MatchesReferenceModelOnRegisteredIds) {
+  for (size_t capacity : {0, 1, 2, 8}) {
+    for (uint64_t seed : {11, 12, 13}) {
+      RunDifferential(capacity, /*registered=*/true, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EntryStoreTest, MatchesReferenceModelOnBareIds) {
+  for (size_t capacity : {0, 1, 2, 8}) {
+    for (uint64_t seed : {21, 22, 23}) {
+      RunDifferential(capacity, /*registered=*/false, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A bare id registered after it was cached keeps its entry, and its slot
+// has mirrored every change all along, so the lock-free read agrees with
+// Find as soon as the id is registered.
+TEST(EntryStoreTest, RegisteringACachedBareIdPublishesItsEntry) {
+  EntryStore store(2);
+  CachedApprox approx;
+  approx.base = Interval(1.0, 3.0);
+  ASSERT_TRUE(store.Offer(4, approx, 2.0));
+  Interval visible;
+  EXPECT_FALSE(store.HasSlot(4));
+  EXPECT_EQ(store.TryVisibleInterval(4, 0, &visible), SnapshotRead::kMiss);
+
+  ASSERT_TRUE(store.RegisterSlot(4));
+  EXPECT_FALSE(store.RegisterSlot(4)) << "duplicate registration rejected";
+  EXPECT_EQ(store.num_slots(), 1u);
+  ASSERT_EQ(store.TryVisibleInterval(4, 0, &visible), SnapshotRead::kHit);
+  EXPECT_EQ(visible, approx.base);
+  ASSERT_NE(store.Find(4), nullptr);
+  EXPECT_EQ(store.Find(4)->raw_width, 2.0);
 }
 
 // -- change detection: only watched ids are reported ---------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -384,9 +386,9 @@ TEST(ShardedEngineTest, ConcurrentQueriesRespectPrecisionConstraints) {
   EXPECT_GT(costs.value_refreshes, 0);
 }
 
-// Satellite fix: an UpdateEvent carrying an id no shard owns used to throw
-// out of `by_id_.at` on the pump thread and terminate the process. It must
-// be skipped and counted instead.
+// An UpdateEvent carrying an id no shard owns once threw out of an id-map
+// lookup on the pump thread and terminated the process. It must be skipped
+// and counted instead.
 TEST(ShardedEngineTest, UnknownSourceIdUpdatesAreSkippedAndCounted) {
   constexpr int kSources = 12;
   EngineConfig config;
@@ -494,6 +496,59 @@ TEST(ShardedEngineTest, UnknownQueryIdsAreDroppedNotFatal) {
   EXPECT_EQ(engine.counters().rejected_query_ids.load(), 2);
 }
 
+/// Change sink that parks the reporting thread until released. A shard
+/// reports changes while still holding its lock exclusively, so a parked
+/// TickAll keeps the shard locked.
+class ParkingSink : public IntervalChangeSink {
+ public:
+  void OnIntervalChanges(const std::vector<int>& /*ids*/,
+                         int64_t /*now*/) override {
+    parked.store(true);
+    while (!released.load()) std::this_thread::yield();
+  }
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+};
+
+// A point read of an id the shard does not own is rejected before any
+// lock is taken, so a stream of bad ids never queues behind the pump on
+// the shard's exclusive lock. The read must return while a TickAll holds
+// that lock, in every read mode.
+TEST(ShardTest, UnownedPointReadDoesNotWaitForTheShardLock) {
+  constexpr int kSources = 8;
+  for (ReadLockMode mode : kAllModes) {
+    RuntimeCounters counters;
+    SystemConfig system;
+    system.cache_capacity = kSources;
+    Shard shard(0, system, kSources, kSeed, &counters, mode);
+    for (auto& src : MakeSources(kSources)) {
+      ASSERT_TRUE(shard.AddSource(std::move(src)));
+    }
+    shard.PopulateInitial(0);
+    shard.BeginMeasurement(0);
+    ParkingSink sink;
+    shard.SetChangeSink(&sink);
+
+    // Every walk step (at least 0.5) escapes the initial width-1
+    // intervals, so tick 1 changes the cache and parks in the sink.
+    std::thread ticker([&] { shard.TickAll(1); });
+    while (!sink.parked.load()) std::this_thread::yield();
+    std::future<Interval> read = std::async(std::launch::async, [&] {
+      return shard.PointRead(/*id=*/999, /*max_width=*/1e12, /*now=*/1);
+    });
+    bool returned =
+        read.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    sink.released.store(true);
+    ticker.join();
+
+    ASSERT_TRUE(returned) << "the unowned-id read waited for the shard lock "
+                          << "in mode " << static_cast<int>(mode);
+    EXPECT_TRUE(read.get().IsUnbounded());
+    EXPECT_EQ(counters.rejected_query_ids.load(), 1);
+    EXPECT_EQ(shard.CostsSnapshot().query_refreshes(), 0) << "no charge";
+  }
+}
+
 // Tentpole property: snapshot readers (FillIntervals via ExecuteQuery,
 // plus the observability snapshots) keep making progress while a writer
 // cycles TickAll. With every value cached and constraints far wider than
@@ -527,6 +582,11 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
   std::atomic<int64_t> completed{0};
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
+      // The quota side starts after the writer's first tick, so the
+      // readers can never finish before the writer was scheduled.
+      while (ticks.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
       QueryGenerator gen(workload, kSeed + 100 + static_cast<uint64_t>(r));
       for (int q = 0; q < 500; ++q) {
         int64_t now = ticks.load(std::memory_order_relaxed);

@@ -543,6 +543,9 @@ TEST(SubscriptionTest, NoMissedViolationUnderConcurrentTicks) {
   });
 
   std::thread ticker([&] {
+    // The quota side starts after the checker's first probe, so the ticks
+    // can never all land before the checker was scheduled.
+    while (probes.load() == 0) std::this_thread::yield();
     for (int64_t t = 1; t <= kTicks; ++t) engine.TickAll(t);
   });
   ticker.join();

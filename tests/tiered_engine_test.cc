@@ -341,6 +341,11 @@ TEST(TieredEngineTest, FanOutCorrectUnderConcurrentEdgeReads) {
     std::atomic<int64_t> violations{0};
     for (int r = 0; r < 3; ++r) {
       readers.emplace_back([&, r] {
+        // The quota side starts after the ticker's first tick, so the
+        // readers can never finish before the ticker was scheduled.
+        while (ticks.load(std::memory_order_relaxed) == 0) {
+          std::this_thread::yield();
+        }
         Rng rng(kSeed + 10 + static_cast<uint64_t>(r));
         for (int q = 0; q < 400; ++q) {
           int edge = static_cast<int>(rng.UniformInt(0, kEdges - 1));
