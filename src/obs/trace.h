@@ -78,7 +78,9 @@ enum class SpanKind : uint8_t {
   kEscalateRegional,  // tiered edge -> regional hop, id = source
   kEscalateSource,    // tiered regional -> source hop, id = source
   kSourcePull,      // exact pull against the source, id = source
-  kFanOut,          // derived LAN fan-out of one id, id = source
+  kFanOut,          // derived LAN fan-out: of one id (id = source), or of
+                    // a tick pass's collected refreshes, edge by edge
+                    // (id = -1)
 };
 
 const char* TraceEventName(TraceEvent event);

@@ -11,6 +11,12 @@
 namespace apc {
 namespace runtime_internal {
 
+/// True when `max_width` is a read constraint some interval can meet:
+/// >= 0, with +inf valid (it never pulls). NaN compares false, so NaN and
+/// negative bounds are invalid. The engines reject an invalid constraint
+/// before taking any lock instead of pulling on every read.
+inline bool ValidConstraint(double max_width) { return max_width >= 0.0; }
+
 /// RAII read lock honoring a ReadLockMode: shared acquisition normally,
 /// exclusive in the kExclusive bench baseline. Used by every engine's
 /// non-seqlock snapshot paths and observability reads (seqlock-mode

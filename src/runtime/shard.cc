@@ -11,6 +11,7 @@
 namespace apc {
 
 using runtime_internal::ReadLock;
+using runtime_internal::ValidConstraint;
 
 void RuntimeCounters::RegisterWith(obs::MetricsRegistry* registry,
                                    const std::string& prefix) const {
@@ -22,6 +23,8 @@ void RuntimeCounters::RegisterWith(obs::MetricsRegistry* registry,
   registry->RegisterCounter(prefix + ".rejected_updates", &rejected_updates);
   registry->RegisterCounter(prefix + ".rejected_query_ids",
                             &rejected_query_ids);
+  registry->RegisterCounter(prefix + ".rejected_constraints",
+                            &rejected_constraints);
   registry->RegisterCounter(prefix + ".rejected_sources", &rejected_sources);
   registry->RegisterCounter(prefix + ".rejected_traces", &rejected_traces);
   registry->RegisterCounter("read.seqlock_retries", &seqlock_retries);
@@ -45,7 +48,7 @@ bool Shard::AddSource(std::unique_ptr<Source> source) {
   // Registration hands out slots in order, so the new source's slot index
   // is its position — what FindSource relies on.
   assert(table_.SlotOf(source->id()) == sources_.size());
-  sources_.push_back(std::move(source));
+  sources_.push_back(std::move(*source));
   return true;
 }
 
@@ -59,9 +62,9 @@ SnapshotRead Shard::TryVisibleIntervalNoLock(int id, int64_t now,
   return table_.TryVisibleInterval(id, now, out);
 }
 
-Source* Shard::FindSource(int id) const {
+Source* Shard::FindSource(int id) {
   uint32_t slot = table_.SlotOf(id);
-  return slot == EntryStore::kNoSlot ? nullptr : sources_[slot].get();
+  return slot == EntryStore::kNoSlot ? nullptr : &sources_[slot];
 }
 
 void Shard::SetChangeSink(IntervalChangeSink* sink) { sink_ = sink; }
@@ -85,24 +88,41 @@ void Shard::PublishChangesLocked(int64_t now) {
 
 void Shard::PopulateInitial(int64_t now) {
   WriterMutexLock lock(mu_);
-  for (auto& src : sources_) {
-    table_.OfferInitial(src->id(), src->cell(), src->value(), now);
+  for (Source& src : sources_) {
+    table_.OfferInitial(src.id(), src.cell(), src.value(), now);
   }
   PublishChangesLocked(now);
 }
 
-// TickSourceLocked/PullExactLocked drive the SAME ProtocolTable methods as
+// OfferValueLocked/PullExactLocked drive the SAME ProtocolTable methods as
 // CacheSystem::Tick and CacheSystem::PullExact: the runtime's determinism
 // guarantee — both charge and refresh identically, pinned by the
 // SingleShardMatchesCacheSystem* tests — now holds by construction rather
 // than by hand-maintained imitation.
-void Shard::TickSourceLocked(Source* src, int64_t now) {
-  src->Tick();
+void Shard::TickSourceLocked(Source& src, int64_t now) {
+  src.Tick();
+  OfferValueLocked(src, now);
   if (counters_ != nullptr) {
     counters_->updates_applied.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void Shard::TickAllLocked(int64_t now) {
+  // Pass 1 advances every stream. No advance depends on another, so the
+  // core overlaps their cache misses. A stream's next value depends only on
+  // its own state and a value step reads only its own source, so the
+  // table still sees exactly the offers of ticking source by source.
+  for (Source& src : sources_) src.Tick();
+  for (Source& src : sources_) OfferValueLocked(src, now);
+  if (counters_ != nullptr) {
+    counters_->updates_applied.fetch_add(
+        static_cast<int64_t>(sources_.size()), std::memory_order_relaxed);
+  }
+}
+
+void Shard::OfferValueLocked(Source& src, int64_t now) {
   ValueTickOutcome outcome =
-      table_.OnValueTick(src->id(), src->cell(), src->value(), now);
+      table_.OnValueTick(src.id(), src.cell(), src.value(), now);
   if (counters_ != nullptr) {
     if (outcome.refreshed) {
       counters_->value_refreshes.fetch_add(1, std::memory_order_relaxed);
@@ -144,9 +164,16 @@ void Shard::RecordRejectedQueryId(int id, int64_t now) const {
   obs::FlightRecorder::NoteRejectedInput("unowned query id", id, now);
 }
 
+void Shard::RecordRejectedConstraint(int id, int64_t now) const {
+  if (counters_ != nullptr) {
+    counters_->rejected_constraints.fetch_add(1, std::memory_order_relaxed);
+  }
+  obs::FlightRecorder::NoteRejectedInput("invalid read constraint", id, now);
+}
+
 void Shard::TickAll(int64_t now) {
   WriterMutexLock lock(mu_);
-  for (auto& src : sources_) TickSourceLocked(src.get(), now);
+  TickAllLocked(now);
   PublishChangesLocked(now);
 }
 
@@ -157,27 +184,8 @@ void Shard::TickSource(int id, int64_t now) {
     RecordRejectedUpdateLocked(id, now);
     return;
   }
-  TickSourceLocked(src, now);
+  TickSourceLocked(*src, now);
   PublishChangesLocked(now);
-}
-
-void Shard::TickSources(const std::vector<std::pair<int, int64_t>>& updates) {
-  WriterMutexLock lock(mu_);
-  // Batch maximum, not the last element: with multiple bus producers the
-  // batch need not be time-ordered, and publishing a change at an earlier
-  // logical time than the tick that produced it would let the notifier
-  // snapshot a stale (narrower) interval.
-  int64_t last_now = 0;
-  for (const auto& [id, now] : updates) {
-    last_now = std::max(last_now, now);
-    Source* src = FindSource(id);
-    if (src == nullptr) {
-      RecordRejectedUpdateLocked(id, now);
-      continue;
-    }
-    TickSourceLocked(src, now);
-  }
-  PublishChangesLocked(last_now);
 }
 
 void Shard::ApplyEvents(const UpdateEvent* events, size_t count) {
@@ -186,13 +194,16 @@ void Shard::ApplyEvents(const UpdateEvent* events, size_t count) {
   obs::TraceScope span(obs::SpanKind::kTick, /*id=*/-1,
                        count > 0 ? events[0].now : 0);
   WriterMutexLock lock(mu_);
-  // Batch-maximum publish time, for the same reason as TickSources.
+  // Batch maximum, not the last event: with multiple bus producers the
+  // burst need not be time-ordered, and publishing a change at an earlier
+  // logical time than the tick that produced it would let the notifier
+  // snapshot a stale (narrower) interval.
   int64_t last_now = 0;
   for (size_t i = 0; i < count; ++i) {
     const UpdateEvent& event = events[i];
     last_now = std::max(last_now, event.now);
     if (event.source_id == UpdateEvent::kAllSources) {
-      for (auto& src : sources_) TickSourceLocked(src.get(), event.now);
+      TickAllLocked(event.now);
       continue;
     }
     Source* src = FindSource(event.source_id);
@@ -200,7 +211,7 @@ void Shard::ApplyEvents(const UpdateEvent* events, size_t count) {
       RecordRejectedUpdateLocked(event.source_id, event.now);
       continue;
     }
-    TickSourceLocked(src, event.now);
+    TickSourceLocked(*src, event.now);
   }
   PublishChangesLocked(last_now);
 }
@@ -255,12 +266,12 @@ void Shard::FillIntervals(const std::vector<ShardSlot>& slots,
   }
 }
 
-double Shard::PullExactLocked(Source* src, int64_t now) {
-  obs::TraceScope span(obs::SpanKind::kSourcePull, src->id(), now);
+double Shard::PullExactLocked(Source& src, int64_t now) {
+  obs::TraceScope span(obs::SpanKind::kSourcePull, src.id(), now);
   if (counters_ != nullptr) {
     counters_->query_refreshes.fetch_add(1, std::memory_order_relaxed);
   }
-  return table_.Pull(src->id(), src->cell(), src->value(), now);
+  return table_.Pull(src.id(), src.cell(), src.value(), now);
 }
 
 double Shard::PullExact(int id, int64_t now) {
@@ -270,7 +281,7 @@ double Shard::PullExact(int id, int64_t now) {
     RecordRejectedQueryId(id, now);
     return std::numeric_limits<double>::quiet_NaN();
   }
-  double value = PullExactLocked(src, now);
+  double value = PullExactLocked(*src, now);
   PublishChangesLocked(now);
   return value;
 }
@@ -286,7 +297,7 @@ void Shard::PullExactMany(const std::vector<ShardSlot>& slots,
       RecordRejectedQueryId(id, now);
       continue;
     }
-    (*items)[pos].interval = Interval::Exact(PullExactLocked(src, now));
+    (*items)[pos].interval = Interval::Exact(PullExactLocked(*src, now));
   }
   PublishChangesLocked(now);
 }
@@ -303,7 +314,7 @@ int Shard::PullCandidateRun(AggregateKind kind, double constraint,
       PublishChangesLocked(now);
       return idx;  // next candidate lives on another shard
     }
-    Interval exact = Interval::Exact(PullExactLocked(src, now));
+    Interval exact = Interval::Exact(PullExactLocked(*src, now));
     // One charge per distinct id: a duplicated id inside the query becomes
     // exact in every slot, so the elimination never re-selects it.
     for (auto& item : *items) {
@@ -323,9 +334,14 @@ Interval Shard::PointRead(int id, double max_width, int64_t now) {
   obs::TraceScope span(obs::SpanKind::kPointRead, id, now);
   obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now,
                              static_cast<int64_t>(read_mode_));
-  // An unowned id is rejected before any lock: it has no slot, so it could
-  // only miss, and a stream of bad ids must not serialize the shard
+  // An invalid constraint or an unowned id is rejected before any lock: no
+  // interval meets the one, the other has no slot, so either could only
+  // pull or miss, and a stream of them must not serialize the shard
   // against the pump on the exclusive lock.
+  if (!ValidConstraint(max_width)) {
+    RecordRejectedConstraint(id, now);
+    return Interval::Unbounded();
+  }
   const uint32_t slot = SlotOfNoLock(id);
   if (slot == EntryStore::kNoSlot) {
     RecordRejectedQueryId(id, now);
@@ -358,8 +374,7 @@ Interval Shard::PointRead(int id, double max_width, int64_t now) {
     Interval visible = entry->approx.AtTime(now);
     if (visible.Width() <= max_width) return visible;
   }
-  Interval result =
-      Interval::Exact(PullExactLocked(sources_[slot].get(), now));
+  Interval result = Interval::Exact(PullExactLocked(sources_[slot], now));
   PublishChangesLocked(now);
   return result;
 }
@@ -382,7 +397,7 @@ CostTracker Shard::CostsSnapshot() const {
 std::pair<double, size_t> Shard::RawWidthSum() const {
   ReadLock lock(mu_, read_mode_);
   double total = 0.0;
-  for (const auto& src : sources_) total += src->raw_width();
+  for (const Source& src : sources_) total += src.raw_width();
   return {total, sources_.size()};
 }
 
@@ -408,9 +423,9 @@ int64_t Shard::rejected_updates() const {
 
 double Shard::SourceValue(int id) const {
   ReadLock lock(mu_, read_mode_);
-  Source* src = FindSource(id);
-  return src == nullptr ? std::numeric_limits<double>::quiet_NaN()
-                        : src->value();
+  const uint32_t slot = table_.SlotOf(id);
+  return slot == EntryStore::kNoSlot ? std::numeric_limits<double>::quiet_NaN()
+                                     : sources_[slot].value();
 }
 
 }  // namespace apc

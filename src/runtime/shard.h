@@ -61,6 +61,10 @@ struct RuntimeCounters {
   /// Query/point-read source ids no shard owns: dropped from the request
   /// and counted (the malformed id contributes nothing to the result).
   obs::Counter rejected_query_ids;
+  /// Point reads and queries whose constraint is NaN or negative: no
+  /// interval can meet one, so they are answered with the unbounded
+  /// interval, charge-free and before any lock, and counted.
+  obs::Counter rejected_constraints;
   /// Sources rejected at engine construction: null, duplicate id, or a
   /// precision policy whose configuration is invalid (see
   /// PrecisionPolicy::IsValidConfig).
@@ -151,7 +155,11 @@ class Shard {
   void PopulateInitial(int64_t now);
 
   /// Advances every owned source one tick and performs the value-initiated
-  /// refreshes the new values trigger, in source-registration order.
+  /// refreshes the new values trigger, under one exclusive hold, as two
+  /// passes over the slot-ordered sources: first every stream advances,
+  /// then each source's refresh runs in slot (= registration) order. The
+  /// table sees the same offers in the same order as ticking source by
+  /// source.
   void TickAll(int64_t now);
 
   /// Advances a single owned source and performs its value-initiated
@@ -159,16 +167,12 @@ class Shard {
   /// RuntimeCounters::rejected_updates (and rejected_updates()).
   void TickSource(int id, int64_t now);
 
-  /// Applies a batch of single-source updates under one lock acquisition.
-  /// Pairs naming ids this shard does not own are skipped and counted.
-  void TickSources(const std::vector<std::pair<int, int64_t>>& updates);
-
-  /// Applies one drained bus burst under ONE lock acquisition: a
-  /// kAllSources event ticks every owned source at its time, a specific id
-  /// ticks that source (unowned ids are skipped and counted as rejected).
-  /// Changes are published once at the batch-maximum time, like
-  /// TickSources. This is the pump's whole-burst entry point — the reason
-  /// the bus drains per-ring batches.
+  /// Applies one drained bus burst under ONE exclusive hold, event by
+  /// event: a kAllSources event is TickAll's two passes at its time, a
+  /// specific id ticks that source (unowned ids are skipped and counted as
+  /// rejected). Changes are published once, at the batch-maximum time,
+  /// before the hold is released. This is the pump's whole-burst entry
+  /// point — the reason the bus drains per-ring batches.
   void ApplyEvents(const UpdateEvent* events, size_t count);
 
   /// The interval a query sees for `id` at `now`: the cached interval, or
@@ -210,8 +214,9 @@ class Shard {
   /// the mode), otherwise takes the exclusive lock, re-checks — a racing
   /// refresh may have satisfied the bound in between, in which case
   /// nothing is charged — and pulls the exact value (one query-initiated
-  /// refresh). An unowned id yields the unbounded interval, charge-free,
-  /// counted as rejected, without taking any lock.
+  /// refresh). A NaN or negative `max_width`, which no interval can meet,
+  /// or an unowned id yields the unbounded interval, charge-free, counted
+  /// as rejected, without taking any lock. +inf is a valid bound.
   Interval PointRead(int id, double max_width, int64_t now);
 
   void BeginMeasurement(int64_t now);
@@ -237,13 +242,22 @@ class Shard {
  private:
   /// Owned source for `id`, or nullptr (never throws — pump hardening):
   /// `sources_[slot]`, since a source's slot index is its position.
-  Source* FindSource(int id) const APC_REQUIRES_SHARED(mu_);
-  void TickSourceLocked(Source* src, int64_t now) APC_REQUIRES(mu_);
+  Source* FindSource(int id) APC_REQUIRES_SHARED(mu_);
+  /// Advances `src` one tick and runs its value-initiated step: the
+  /// single-id path.
+  void TickSourceLocked(Source& src, int64_t now) APC_REQUIRES(mu_);
+  /// TickAll's two passes, without the publish: advance every stream, then
+  /// run OfferValueLocked slot by slot.
+  void TickAllLocked(int64_t now) APC_REQUIRES(mu_);
+  /// The value-initiated step of a source whose stream already holds its
+  /// value at `now`: OnValueTick, plus the refresh and loss tallies.
+  void OfferValueLocked(Source& src, int64_t now) APC_REQUIRES(mu_);
   void RecordRejectedUpdateLocked(int id, int64_t now) APC_REQUIRES(mu_);
   void RecordRejectedQueryId(int id, int64_t now) const;
+  void RecordRejectedConstraint(int id, int64_t now) const;
   /// Query-initiated exact pull of `src` (charges Cqr, re-offers the fresh
   /// approximation); requires the shard lock held exclusively.
-  double PullExactLocked(Source* src, int64_t now) APC_REQUIRES(mu_);
+  double PullExactLocked(Source& src, int64_t now) APC_REQUIRES(mu_);
   /// Drains the table's watched dirty ids to the change sink, or just its
   /// clock when only unwatched ids changed; requires the shard lock held
   /// exclusively. No-op without a sink or without a change.
@@ -272,9 +286,11 @@ class Shard {
   /// one at a time (never two shards nested), after the subscription
   /// manager's mutex and before edge/queue/leaf classes.
   mutable SharedMutex mu_{LockRank::kEngineShard, "shard.mu"};
-  /// In registration order, so `sources_[i]` is the source of the table's
-  /// slot i: the table's id→slot index is the shard's only id index.
-  std::vector<std::unique_ptr<Source>> sources_ APC_GUARDED_BY(mu_);
+  /// By value, in registration order, so `sources_[i]` is the source of
+  /// the table's slot i: the table's id→slot index is the shard's only id
+  /// index. Contiguous so a tick's stream-advance pass walks one array
+  /// rather than chasing a heap pointer per source.
+  std::vector<Source> sources_ APC_GUARDED_BY(mu_);
   ProtocolTable table_ APC_GUARDED_BY(mu_);
   int64_t rejected_updates_ APC_GUARDED_BY(mu_) = 0;
   /// Set once before concurrent use (SetChangeSink documents this); the

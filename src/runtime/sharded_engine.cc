@@ -10,6 +10,7 @@
 namespace apc {
 
 using runtime_internal::MixId;
+using runtime_internal::ValidConstraint;
 
 namespace {
 
@@ -115,6 +116,14 @@ Interval ShardedEngine::ExecuteQuery(const Query& query, int64_t now) {
   obs::TraceScope span(obs::SpanKind::kQuery, /*id=*/-1, now);
   obs::ReaderScope reader(obs::ReaderKind::kQuery, /*reader_id=*/-1);
   counters_.queries_executed.fetch_add(1, std::memory_order_relaxed);
+  // No answer can meet a NaN or negative constraint: rejected before any
+  // lock, where the selection would otherwise pull every item.
+  if (!ValidConstraint(query.constraint)) {
+    counters_.rejected_constraints.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::NoteRejectedInput("invalid read constraint",
+                                           /*id=*/-1, now);
+    return Interval::Unbounded();
+  }
 
   // Per-thread scratch reused across queries: the serving hot path does no
   // steady-state heap allocation (buffers keep their capacity). Safe to

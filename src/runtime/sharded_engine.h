@@ -81,8 +81,10 @@ struct EngineCosts {
 ///
 /// Malformed input is rejected, not fatal: update events and query ids
 /// naming sources no shard owns are skipped and counted in the
-/// RuntimeCounters (`rejected_updates`, `rejected_query_ids`), and
-/// duplicate ids within one query are pulled (and charged) once.
+/// RuntimeCounters (`rejected_updates`, `rejected_query_ids`), reads with
+/// a NaN or negative constraint are answered unbounded and counted
+/// (`rejected_constraints`), and duplicate ids within one query are pulled
+/// (and charged) once.
 ///
 /// Every returned interval satisfies the query's precision constraint: the
 /// result is composed from the snapshot plus exact pulls, so concurrent
@@ -131,11 +133,15 @@ class ShardedEngine : private SubscriptionHost {
   void TickAll(int64_t now);
 
   /// Executes a precision-bounded aggregate query at `now`; thread-safe.
-  /// The result interval's width is at most the query's constraint.
+  /// The result interval's width is at most the query's constraint. A NaN
+  /// or negative constraint, which no answer can meet, yields the
+  /// unbounded interval before any lock, charge-free, counted in
+  /// RuntimeCounters::rejected_constraints.
   Interval ExecuteQuery(const Query& query, int64_t now);
 
   /// Precision-bounded read of a single source value; pulls the exact
-  /// value only when the cached interval is wider than `max_width`.
+  /// value only when the cached interval is wider than `max_width`. An
+  /// invalid `max_width` is rejected like ExecuteQuery's constraint.
   Interval PointRead(int id, double max_width, int64_t now);
 
   // -- standing queries (the subscription subsystem) -------------------

@@ -15,6 +15,7 @@ namespace apc {
 
 using runtime_internal::MixId;
 using runtime_internal::ReadLock;
+using runtime_internal::ValidConstraint;
 
 void TieredCounters::RegisterWith(obs::MetricsRegistry* registry,
                                   const std::string& prefix) const {
@@ -26,6 +27,8 @@ void TieredCounters::RegisterWith(obs::MetricsRegistry* registry,
   registry->RegisterCounter(prefix + ".updates_applied", &updates_applied);
   registry->RegisterCounter(prefix + ".rejected_reads", &rejected_reads);
   registry->RegisterCounter(prefix + ".rejected_updates", &rejected_updates);
+  registry->RegisterCounter(prefix + ".rejected_constraints",
+                            &rejected_constraints);
   registry->RegisterCounter(prefix + ".rejected_sources", &rejected_sources);
   registry->RegisterCounter(prefix + ".lost_wan_pushes", &lost_wan_pushes);
   registry->RegisterCounter(prefix + ".lost_lan_pushes", &lost_lan_pushes);
@@ -151,16 +154,18 @@ TieredEngine::TieredEngine(const TieredConfig& config,
     initial_values.reserve(ids.size());
     {
       WriterMutexLock rlock(rs->mu);
+      rs->sources.reserve(ids.size());
+      rs->fan_out.reserve(ids.size());
       for (int id : ids) {
         // Slots are handed out in registration order: the source's slot
         // index is its position in `sources` (ids are distinct).
         rs->table.Register(id);
         assert(rs->table.SlotOf(id) == rs->sources.size());
-        rs->sources.push_back(std::make_unique<Source>(
+        rs->sources.emplace_back(
             id, std::move(streams[static_cast<size_t>(id)]),
             std::make_unique<AdaptivePolicy>(
-                regional_params, regional_seeds[static_cast<size_t>(id)])));
-        initial_values.push_back(rs->sources.back()->value());
+                regional_params, regional_seeds[static_cast<size_t>(id)]));
+        initial_values.push_back(rs->sources.back().value());
       }
     }
     for (int e = 0; e < num_edges; ++e) {
@@ -268,15 +273,15 @@ void TieredEngine::PopulateInitial(int64_t now) {
   for (size_t s = 0; s < regional_.size(); ++s) {
     RegionalShard& rs = *regional_[s];
     WriterMutexLock rlock(rs.mu);
-    for (auto& src : rs.sources) {
-      rs.table.OfferInitial(src->id(), src->cell(), src->value(), now);
+    for (Source& src : rs.sources) {
+      rs.table.OfferInitial(src.id(), src.cell(), src.value(), now);
     }
     PublishRegionalChangesLocked(rs, now);
     for (auto& edge : edges_) {
       EdgeShard& es = *edge[s];
       WriterMutexLock elock(es.mu);
       for (size_t slot = 0; slot < rs.sources.size(); ++slot) {
-        const Source& src = *rs.sources[slot];
+        const Source& src = rs.sources[slot];
         int id = src.id();
         Interval parent = src.cell().last_shipped().AtTime(now);
         ProtocolCell& cell = es.cells[slot];
@@ -289,22 +294,58 @@ void TieredEngine::PopulateInitial(int64_t now) {
 }
 
 void TieredEngine::TickSourceLocked(RegionalShard& rs, int shard,
-                                    Source* src, int64_t now) {
-  src->Tick();
+                                    Source& src, int64_t now) {
+  src.Tick();
+  if (OfferValueLocked(rs, src, now)) {
+    FanOutLocked(rs, shard, src.id(), src.cell().last_shipped().AtTime(now),
+                 now, /*skip_edge=*/-1);
+  }
   counters_.updates_applied.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TieredEngine::TickAllLocked(RegionalShard& rs, int shard, int64_t now) {
+  // Pass 1 advances every stream. No advance depends on another, so the
+  // core overlaps their cache misses. A stream's next value depends only on
+  // its own state and a value step reads only its own source, so the
+  // tables still see exactly the offers of ticking source by source.
+  for (Source& src : rs.sources) src.Tick();
+  rs.fan_out.clear();
+  for (uint32_t slot = 0; slot < rs.sources.size(); ++slot) {
+    Source& src = rs.sources[slot];
+    if (OfferValueLocked(rs, src, now)) {
+      rs.fan_out.push_back(
+          {slot, src.id(), src.cell().last_shipped().AtTime(now)});
+    }
+  }
+  // Pass 3 ships the collected refreshes edge by edge, one exclusive
+  // acquisition per edge shard. Each edge table is independent of the
+  // regional table and of the other edges, so every table sees its offers
+  // in the order a per-id FanOutLocked would give them.
+  if (!rs.fan_out.empty()) {
+    obs::TraceScope span(obs::SpanKind::kFanOut, /*id=*/-1, now);
+    for (auto& edge : edges_) {
+      EdgeShard& es = *edge[static_cast<size_t>(shard)];
+      WriterMutexLock lock(es.mu);
+      for (const PendingFanOut& pending : rs.fan_out) {
+        PushDerivedLocked(es, pending.slot, pending.id, pending.parent, now);
+      }
+    }
+  }
+  counters_.updates_applied.fetch_add(static_cast<int64_t>(rs.sources.size()),
+                                      std::memory_order_relaxed);
+}
+
+bool TieredEngine::OfferValueLocked(RegionalShard& rs, Source& src,
+                                    int64_t now) {
   ValueTickOutcome outcome =
-      rs.table.OnValueTick(src->id(), src->cell(), src->value(), now);
+      rs.table.OnValueTick(src.id(), src.cell(), src.value(), now);
   if (outcome.lost) {
     counters_.lost_wan_pushes.fetch_add(1, std::memory_order_relaxed);
   }
   // A lost WAN push never reached the regional cache, so no edge can have
   // fallen out of containment — nothing to fan out (and charging a LAN
   // push for an undelivered regional interval would be wrong).
-  if (outcome.refreshed && !outcome.lost) {
-    FanOutLocked(rs, shard, src->id(),
-                 src->cell().last_shipped().AtTime(now), now,
-                 /*skip_edge=*/-1);
-  }
+  return outcome.refreshed && !outcome.lost;
 }
 
 void TieredEngine::FanOutLocked(RegionalShard& rs, int shard, int id,
@@ -318,25 +359,30 @@ void TieredEngine::FanOutLocked(RegionalShard& rs, int shard, int id,
     if (e == skip_edge) continue;
     EdgeShard& es = *edges_[static_cast<size_t>(e)][static_cast<size_t>(shard)];
     WriterMutexLock lock(es.mu);
-    ProtocolCell& cell = es.cells[slot];
-    // Containment is tested against the sender-side record of what was
-    // last shipped to this edge (the cell), not against the edge cache:
-    // edges never report evictions, and a charged-but-lost LAN push must
-    // not be resent until the parent escapes the interval the regional
-    // cache BELIEVES the edge holds — the paper's source-side rule, one
-    // level down.
-    if (cell.last_shipped().AtTime(now).Contains(parent)) continue;
-    cell.AdvanceWidth(RefreshType::kValueInitiated, /*escaped_above=*/false,
-                      now);
-    CachedApprox approx = DerivedApprox(cell, parent, now);
-    cell.ShipDerived(approx);
-    ValueTickOutcome shipped = es.table.OfferDerived(
-        id, approx, cell.raw_width(), RefreshType::kValueInitiated);
-    if (shipped.lost) {
-      counters_.lost_lan_pushes.fetch_add(1, std::memory_order_relaxed);
-    }
-    counters_.derived_pushes.fetch_add(1, std::memory_order_relaxed);
+    PushDerivedLocked(es, slot, id, parent, now);
   }
+}
+
+void TieredEngine::PushDerivedLocked(EdgeShard& es, uint32_t slot, int id,
+                                     const Interval& parent, int64_t now) {
+  ProtocolCell& cell = es.cells[slot];
+  // Containment is tested against the sender-side record of what was
+  // last shipped to this edge (the cell), not against the edge cache:
+  // edges never report evictions, and a charged-but-lost LAN push must
+  // not be resent until the parent escapes the interval the regional
+  // cache BELIEVES the edge holds — the paper's source-side rule, one
+  // level down.
+  if (cell.last_shipped().AtTime(now).Contains(parent)) return;
+  cell.AdvanceWidth(RefreshType::kValueInitiated, /*escaped_above=*/false,
+                    now);
+  CachedApprox approx = DerivedApprox(cell, parent, now);
+  cell.ShipDerived(approx);
+  ValueTickOutcome shipped = es.table.OfferDerived(
+      id, approx, cell.raw_width(), RefreshType::kValueInitiated);
+  if (shipped.lost) {
+    counters_.lost_lan_pushes.fetch_add(1, std::memory_order_relaxed);
+  }
+  counters_.derived_pushes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TieredEngine::InstallDerived(const RegionalShard& rs, EdgeShard& es,
@@ -354,15 +400,13 @@ void TieredEngine::InstallDerived(const RegionalShard& rs, EdgeShard& es,
 }
 
 void TieredEngine::TickAll(int64_t now) {
-  // Root span of the synchronous update path; the per-id fan-out spans
-  // nest under it.
+  // Root span of the synchronous update path; each shard's fan-out span
+  // nests under it.
   obs::TraceScope span(obs::SpanKind::kTick, /*id=*/-1, now);
   for (size_t s = 0; s < regional_.size(); ++s) {
     RegionalShard& rs = *regional_[s];
     WriterMutexLock lock(rs.mu);
-    for (auto& src : rs.sources) {
-      TickSourceLocked(rs, static_cast<int>(s), src.get(), now);
-    }
+    TickAllLocked(rs, static_cast<int>(s), now);
     PublishRegionalChangesLocked(rs, now);
   }
 }
@@ -377,7 +421,7 @@ void TieredEngine::TickSource(int id, int64_t now) {
     obs::FlightRecorder::NoteRejectedInput("unowned update id", id, now);
     return;
   }
-  TickSourceLocked(rs, s, rs.sources[slot].get(), now);
+  TickSourceLocked(rs, s, rs.sources[slot], now);
   PublishRegionalChangesLocked(rs, now);
 }
 
@@ -394,9 +438,7 @@ void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
     last_now = std::max(last_now, e.now);
     if (e.source_id == UpdateEvent::kAllSources) {
       // This ring's copy of a broadcast: tick every source this shard owns.
-      for (auto& src : rs.sources) {
-        TickSourceLocked(rs, shard, src.get(), e.now);
-      }
+      TickAllLocked(rs, shard, e.now);
       continue;
     }
     const uint32_t slot = rs.table.SlotOf(e.source_id);
@@ -406,7 +448,7 @@ void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
                                              e.source_id, e.now);
       continue;
     }
-    TickSourceLocked(rs, shard, rs.sources[slot].get(), e.now);
+    TickSourceLocked(rs, shard, rs.sources[slot], e.now);
   }
   PublishRegionalChangesLocked(rs, last_now);
 }
@@ -419,6 +461,14 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
   obs::TraceScope span(obs::SpanKind::kTieredRead, id, now);
   obs::ReaderScope reader(obs::ReaderKind::kQuery, /*reader_id=*/id);
   counters_.reads.fetch_add(1, std::memory_order_relaxed);
+  // No interval meets a NaN or negative constraint: rejected before any
+  // lock, where the escalation would otherwise go to the source.
+  if (!ValidConstraint(constraint)) {
+    counters_.rejected_constraints.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::NoteRejectedInput("invalid read constraint", id,
+                                           now);
+    return Interval::Unbounded();
+  }
   const int s = ShardOf(id);
   RegionalShard& rs = *regional_[static_cast<size_t>(s)];
   const uint32_t slot = SlotOfNoLock(rs, id);
@@ -492,18 +542,18 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
     obs::TraceScope source_hop(obs::SpanKind::kEscalateSource, id, now);
     obs::TraceRecorder::Record(obs::TraceEvent::kEscalateSource, id, now,
                                edge);
-    Source* src = rs.sources[slot].get();
+    Source& src = rs.sources[slot];
     {
       obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
-      rs.table.Pull(src->id(), src->cell(), src->value(), now);
+      rs.table.Pull(src.id(), src.cell(), src.value(), now);
     }
     counters_.source_pulls.fetch_add(1, std::memory_order_relaxed);
-    regional = src->cell().last_shipped().AtTime(now);
+    regional = src.cell().last_shipped().AtTime(now);
     // The recentered regional interval cascades to the OTHER edges as LAN
     // pushes; the reading edge gets its derived interval in the reply it
     // already paid for (HierarchicalSystem's skip_edge rule).
     FanOutLocked(rs, s, id, regional, now, /*skip_edge=*/edge);
-    answer = Interval::Exact(src->value());
+    answer = Interval::Exact(src.value());
     PublishRegionalChangesLocked(rs, now);
   }
   InstallDerived(rs, es, id, regional, RefreshType::kQueryInitiated,
@@ -523,13 +573,13 @@ Interval TieredEngine::SubscriptionPull(int id, int64_t now) {
   // One WAN Cqr recenters the regional interval; the fan-out ships the
   // news to every edge that fell out of containment — a subscription
   // escalation is charged exactly like an escalated read's source pull.
-  Source* src = rs.sources[rs.table.SlotOf(id)].get();
+  Source& src = rs.sources[rs.table.SlotOf(id)];
   {
     obs::TraceScope pull(obs::SpanKind::kSourcePull, id, now);
-    rs.table.Pull(src->id(), src->cell(), src->value(), now);
+    rs.table.Pull(src.id(), src.cell(), src.value(), now);
   }
   counters_.source_pulls.fetch_add(1, std::memory_order_relaxed);
-  Interval regional = src->cell().last_shipped().AtTime(now);
+  Interval regional = src.cell().last_shipped().AtTime(now);
   FanOutLocked(rs, s, id, regional, now, /*skip_edge=*/-1);
   PublishRegionalChangesLocked(rs, now);
   return rs.table.VisibleInterval(id, now);
@@ -671,7 +721,7 @@ double TieredEngine::regional_raw_width(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.table.SlotOf(id)]->raw_width();
+  return rs.sources[rs.table.SlotOf(id)].raw_width();
 }
 
 double TieredEngine::edge_raw_width(int edge, int id) const {
@@ -688,7 +738,7 @@ double TieredEngine::exact_value(int id) const {
   if (!Owns(id)) return std::numeric_limits<double>::quiet_NaN();
   const RegionalShard& rs = *regional_[static_cast<size_t>(ShardOf(id))];
   ReaderMutexLock lock(rs.mu);
-  return rs.sources[rs.table.SlotOf(id)]->value();
+  return rs.sources[rs.table.SlotOf(id)].value();
 }
 
 bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
@@ -699,8 +749,8 @@ bool TieredEngine::DerivedInvariantHolds(int64_t now) const {
     // least shared with the then-current parent — so the check is valid
     // at any instant, not just at quiescence.
     ReaderMutexLock rlock(rs.mu);
-    for (const auto& src : rs.sources) {
-      const int id = src->id();
+    for (const Source& src : rs.sources) {
+      const int id = src.id();
       const ProtocolEntry* regional = rs.table.Find(id);
       if (regional == nullptr) continue;  // evicted: nothing to compare
       Interval parent = regional->approx.AtTime(now);

@@ -90,6 +90,10 @@ struct TieredCounters {
   /// naming an unknown id. Counted, never fatal.
   obs::Counter rejected_reads;
   obs::Counter rejected_updates;
+  /// Reads whose constraint is NaN or negative: no interval can meet one,
+  /// so they are answered with the unbounded interval, charge-free and
+  /// before any lock, and counted.
+  obs::Counter rejected_constraints;
   /// Streams rejected at construction (null).
   obs::Counter rejected_sources;
 
@@ -128,7 +132,9 @@ struct TieredCounters {
 /// derived refresh at one LAN Cvr each. Updates arrive synchronously via
 /// TickAll/TickSource (the deterministic lockstep path) or asynchronously
 /// through the UpdateBus drained by the pump thread; the fan-out happens
-/// at delivery, under the same locks as the regional refresh.
+/// at delivery, under the same exclusive regional hold as the regional
+/// refresh. A whole-tick pass ships its fan-out edge by edge, one edge
+/// shard acquisition per edge.
 ///
 /// Derived-precision invariant (paper §5): every edge interval is a hull
 /// of the regional interval it was derived from, so A_edge ⊇ A_regional —
@@ -182,7 +188,11 @@ class TieredEngine : private SubscriptionHost {
 
   /// Synchronous lockstep update of every source (deterministic path):
   /// advances each stream one tick and performs the value-initiated
-  /// refresh cascade (WAN push + LAN fan-out) the new values trigger.
+  /// refresh cascade (WAN push + LAN fan-out) the new values trigger. Each
+  /// regional shard is one exclusive hold and three passes: advance every
+  /// stream, run the regional refreshes slot by slot, then ship their
+  /// derived pushes edge by edge. Every table sees the same offers in the
+  /// same order as ticking source by source.
   void TickAll(int64_t now);
 
   /// Advances a single source; unknown ids are counted as rejected.
@@ -192,7 +202,10 @@ class TieredEngine : private SubscriptionHost {
   /// width <= `constraint` that contains the exact value (when pushes are
   /// reliable), escalating edge -> regional -> source as needed and
   /// charging per hop. An unknown edge or id yields the unbounded
-  /// interval, charge-free, counted in rejected_reads. Thread-safe.
+  /// interval, charge-free, counted in rejected_reads; so does a NaN or
+  /// negative `constraint`, which no interval can meet, counted in
+  /// rejected_constraints. Both are rejected before any lock. +inf is a
+  /// valid constraint. Thread-safe.
   Interval Read(int edge, int id, double constraint, int64_t now);
 
   // -- standing queries (the subscription subsystem) -------------------
@@ -268,6 +281,14 @@ class TieredEngine : private SubscriptionHost {
   bool DerivedInvariantHolds(int64_t now = 0) const;
 
  private:
+  /// A delivered regional refresh of `id` (at `slot`) whose derived pushes
+  /// have not shipped yet: every edge must come to contain `parent`.
+  struct PendingFanOut {
+    uint32_t slot;
+    int id;
+    Interval parent;
+  };
+
   /// One partition of the regional tier: the sources hashed to it (stream
   /// + ProtocolCell with the WAN-bound policy) and their share of the
   /// regional cache, a shared-core ProtocolTable charging WAN costs.
@@ -282,9 +303,16 @@ class TieredEngine : private SubscriptionHost {
     /// Rank kEngineShard: taken after the subscription manager's mutex,
     /// before any edge shard (regional -> edge, never the reverse).
     mutable SharedMutex mu{LockRank::kEngineShard, "regional.mu"};
-    std::vector<std::unique_ptr<Source>> sources APC_GUARDED_BY(mu);  // by slot
+    /// By value, by slot: a tick's stream-advance pass walks one
+    /// contiguous array rather than chasing a heap pointer per source.
+    std::vector<Source> sources APC_GUARDED_BY(mu);
     ProtocolTable table APC_GUARDED_BY(mu);
     std::vector<int> dirty_scratch APC_GUARDED_BY(mu);  // exclusive scratch
+    /// The regional refreshes a tick pass delivered, in slot order, waiting
+    /// to ship edge by edge (exclusive scratch). Reserved to one per source
+    /// at construction — a pass delivers at most that — so the pump
+    /// allocates nothing.
+    std::vector<PendingFanOut> fan_out APC_GUARDED_BY(mu);
   };
 
   /// One partition of one edge tier: the derived cells (per-value raw
@@ -309,21 +337,46 @@ class TieredEngine : private SubscriptionHost {
   static CachedApprox DerivedApprox(const ProtocolCell& cell,
                                     const Interval& parent, int64_t now);
 
-  /// Advances one source and runs the value-initiated refresh cascade.
-  /// `rs` is the owning regional shard (== *regional_[shard]); its lock
-  /// must be held exclusively.
-  void TickSourceLocked(RegionalShard& rs, int shard, Source* src,
+  /// Advances one source and runs the value-initiated refresh cascade:
+  /// the single-id path, fanning out through FanOutLocked. `rs` is the
+  /// owning regional shard (== *regional_[shard]); its lock must be held
+  /// exclusively.
+  void TickSourceLocked(RegionalShard& rs, int shard, Source& src,
                         int64_t now) APC_REQUIRES(rs.mu);
 
-  /// Ships derived refreshes to every edge (except `skip_edge`) whose
-  /// last-shipped interval no longer contains `parent`, charging one LAN
-  /// Cvr each. `rs` (== *regional_[shard]) must be held exclusively —
-  /// that exclusivity is what freezes the (regional, edge) state of the
-  /// shard's ids; takes each edge shard lock in turn (rank order
-  /// regional -> edge).
+  /// Ticks every source of `rs` (== *regional_[shard]) at `now` as three
+  /// passes: advance every stream; run OfferValueLocked slot by slot,
+  /// collecting each delivered refresh in `rs.fan_out`; then ship those
+  /// edge by edge through PushDerivedLocked, one exclusive acquisition of
+  /// each edge shard. Requires `rs.mu` held exclusively for the whole
+  /// pass, so no reader observes a regional refresh before its fan-out.
+  void TickAllLocked(RegionalShard& rs, int shard, int64_t now)
+      APC_REQUIRES(rs.mu);
+
+  /// The regional value step of a source whose stream already holds its
+  /// value at `now`: OnValueTick plus the WAN loss tally. Returns true when
+  /// a refresh reached the regional cache — the case that needs a fan-out.
+  /// Requires `rs.mu` held exclusively.
+  bool OfferValueLocked(RegionalShard& rs, Source& src, int64_t now)
+      APC_REQUIRES(rs.mu);
+
+  /// Single-id fan-out (an escalated read's source pull, SubscriptionPull,
+  /// a single-id update event): PushDerivedLocked to every edge except
+  /// `skip_edge`, taking each edge shard lock in turn (rank order
+  /// regional -> edge). `rs` (== *regional_[shard]) must be held
+  /// exclusively — that exclusivity is what freezes the (regional, edge)
+  /// state of the shard's ids.
   void FanOutLocked(RegionalShard& rs, int shard, int id,
                     const Interval& parent, int64_t now, int skip_edge)
       APC_REQUIRES(rs.mu);
+
+  /// Ships a derived refresh of `id` (at `slot`) to edge shard `es` when
+  /// the edge's last-shipped interval no longer contains `parent`,
+  /// charging one LAN Cvr. Requires `es.mu` held exclusively, under the
+  /// matching regional shard's exclusive hold.
+  void PushDerivedLocked(EdgeShard& es, uint32_t slot, int id,
+                         const Interval& parent, int64_t now)
+      APC_REQUIRES(es.mu);
 
   /// Installs a derived hull of `parent` at (edge shard, id) as a refresh
   /// of kind `type`, charging the edge table per OfferDerived. `rs` is the
@@ -335,11 +388,13 @@ class TieredEngine : private SubscriptionHost {
       APC_REQUIRES_SHARED(rs.mu);
 
   /// Applies one drained bus burst to regional shard `shard` under ONE
-  /// exclusive lock acquisition — the pump's whole-burst entry point. A
-  /// kAllSources event ticks every source of this shard (its per-ring
-  /// broadcast copy); unknown ids are counted as rejected. Changes are
-  /// published once, at the batch-maximum time (the bus batch need not be
-  /// time-ordered).
+  /// exclusive lock acquisition — the pump's whole-burst entry point —
+  /// event by event. A kAllSources event (this ring's copy of a broadcast)
+  /// is TickAllLocked, whose fan-out ships before the burst's next event,
+  /// so per-source event order holds; a specific id is TickSourceLocked;
+  /// unknown ids are counted as rejected. Changes are published once, at
+  /// the batch-maximum time (the bus batch need not be time-ordered),
+  /// before the hold is released.
   void ApplyShardEvents(int shard, const UpdateEvent* events, size_t count);
   void PumpLoop();
 

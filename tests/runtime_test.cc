@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -309,6 +311,68 @@ TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
+// The pump applies a drained burst event by event under one hold. Pushing
+// the whole run before the pump starts makes each ring's first PopBatch a
+// multi-event burst that mixes tick-alls with single-id ticks, one id
+// twice in the same tick. With evictions and push loss on, every offer and
+// loss draw must land as in the same sequence applied synchronously. A
+// small alpha keeps widths from outgrowing the walk, so refreshes stay
+// frequent through the run.
+TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
+  constexpr int kSources = 24;
+  constexpr int64_t kTicks = 40;
+  const std::vector<int> kSingles = {5, 11, 5, 17};
+  EngineConfig config;
+  config.num_shards = 3;
+  config.system.cache_capacity = 18;
+  config.system.push_loss_probability = 0.2;
+  AdaptivePolicyParams policy;
+  policy.alpha = 0.1;
+
+  ShardedEngine lockstep(config, MakeSources(kSources, policy));
+  lockstep.PopulateInitial(0);
+  lockstep.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    lockstep.TickAll(t);
+    for (int id : kSingles) {
+      lockstep.shard(lockstep.ShardOf(id)).TickSource(id, t);
+    }
+  }
+  lockstep.EndMeasurement(kTicks);
+
+  // No ring receives more than kTicks * (1 + kSingles.size()) = 200
+  // events, under the default bus_capacity, so pushing with no consumer
+  // never blocks.
+  ShardedEngine bursts(config, MakeSources(kSources, policy));
+  bursts.PopulateInitial(0);
+  bursts.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
+    for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
+  }
+  ASSERT_TRUE(bursts.StartUpdatePump());
+  bursts.StopUpdatePump();  // drains the backlog before joining
+  bursts.EndMeasurement(kTicks);
+
+  EngineCosts expected = lockstep.TotalCosts();
+  EngineCosts actual = bursts.TotalCosts();
+  EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
+  EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
+  EXPECT_EQ(actual.total_cost, expected.total_cost);
+  EXPECT_EQ(bursts.lost_pushes(), lockstep.lost_pushes());
+  EXPECT_GT(lockstep.lost_pushes(), 0) << "loss draws must be exercised";
+  EXPECT_EQ(bursts.MeanRawWidth(), lockstep.MeanRawWidth());
+  for (int id = 0; id < kSources; ++id) {
+    const int s = lockstep.ShardOf(id);
+    EXPECT_EQ(bursts.shard(s).VisibleInterval(id, kTicks),
+              lockstep.shard(s).VisibleInterval(id, kTicks))
+        << "id " << id;
+    EXPECT_EQ(bursts.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
+  }
+  EXPECT_EQ(bursts.counters().updates_applied.load(),
+            kTicks * static_cast<int64_t>(kSources + kSingles.size()));
+}
+
 TEST(ShardedEngineTest, PumpCannotRestartAfterStop) {
   EngineConfig config;
   config.system.cache_capacity = 8;
@@ -496,6 +560,44 @@ TEST(ShardedEngineTest, UnknownQueryIdsAreDroppedNotFatal) {
   EXPECT_EQ(engine.counters().rejected_query_ids.load(), 2);
 }
 
+// A NaN or negative constraint can never be met, so each such read would
+// pull (Cqr) under the exclusive shard lock. Both read entry points answer
+// it with the unbounded interval instead, charge-free, and count it; +inf
+// stays a valid constraint that a cached interval meets.
+TEST(ShardedEngineTest, InvalidConstraintsAreRejectedChargeFree) {
+  constexpr int kSources = 8;
+  EngineConfig config;
+  config.num_shards = 2;
+  config.system.cache_capacity = kSources;
+  ShardedEngine engine(config, MakeSources(kSources));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+
+  int64_t rejected = 0;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_TRUE(engine.PointRead(3, bad, 0).IsUnbounded());
+    for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg,
+                               AggregateKind::kMax, AggregateKind::kMin}) {
+      Query query;
+      query.kind = kind;
+      query.source_ids = {0, 1, 2, 3, 4, 5, 6, 7};
+      query.constraint = bad;
+      EXPECT_TRUE(engine.ExecuteQuery(query, 0).IsUnbounded());
+    }
+    rejected += 5;
+    EXPECT_EQ(engine.counters().rejected_constraints.load(), rejected);
+  }
+  EXPECT_EQ(engine.counters().query_refreshes.load(), 0);
+  EngineCosts costs = engine.TotalCosts();
+  EXPECT_EQ(costs.query_refreshes, 0);
+  EXPECT_EQ(costs.total_cost, 0.0);
+
+  Interval loose = engine.PointRead(3, kInfinity, 0);
+  EXPECT_FALSE(loose.IsUnbounded()) << "+inf is met by the cached interval";
+  EXPECT_EQ(engine.counters().rejected_constraints.load(), rejected);
+  EXPECT_EQ(engine.TotalCosts().query_refreshes, 0);
+}
+
 /// Change sink that parks the reporting thread until released. A shard
 /// reports changes while still holding its lock exclusively, so a parked
 /// TickAll keeps the shard locked.
@@ -510,11 +612,11 @@ class ParkingSink : public IntervalChangeSink {
   std::atomic<bool> released{false};
 };
 
-// A point read of an id the shard does not own is rejected before any
-// lock is taken, so a stream of bad ids never queues behind the pump on
-// the shard's exclusive lock. The read must return while a TickAll holds
-// that lock, in every read mode.
-TEST(ShardTest, UnownedPointReadDoesNotWaitForTheShardLock) {
+// A point read of an id the shard does not own, or with a NaN or negative
+// constraint, is rejected before any lock is taken, so a stream of bad
+// reads never queues behind the pump on the shard's exclusive lock. The
+// reads must return while a TickAll holds that lock, in every read mode.
+TEST(ShardTest, RejectedPointReadsDoNotWaitForTheShardLock) {
   constexpr int kSources = 8;
   for (ReadLockMode mode : kAllModes) {
     RuntimeCounters counters;
@@ -533,18 +635,25 @@ TEST(ShardTest, UnownedPointReadDoesNotWaitForTheShardLock) {
     // intervals, so tick 1 changes the cache and parks in the sink.
     std::thread ticker([&] { shard.TickAll(1); });
     while (!sink.parked.load()) std::this_thread::yield();
-    std::future<Interval> read = std::async(std::launch::async, [&] {
-      return shard.PointRead(/*id=*/999, /*max_width=*/1e12, /*now=*/1);
+    std::future<bool> reads = std::async(std::launch::async, [&] {
+      return shard.PointRead(/*id=*/999, /*max_width=*/1e12, /*now=*/1)
+                 .IsUnbounded() &&
+             shard.PointRead(/*id=*/0, std::nan(""), /*now=*/1)
+                 .IsUnbounded() &&
+             shard.PointRead(/*id=*/0, /*max_width=*/-1.0, /*now=*/1)
+                 .IsUnbounded();
     });
     bool returned =
-        read.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+        reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
     sink.released.store(true);
     ticker.join();
 
-    ASSERT_TRUE(returned) << "the unowned-id read waited for the shard lock "
+    ASSERT_TRUE(returned) << "a rejected read waited for the shard lock "
                           << "in mode " << static_cast<int>(mode);
-    EXPECT_TRUE(read.get().IsUnbounded());
+    EXPECT_TRUE(reads.get());
     EXPECT_EQ(counters.rejected_query_ids.load(), 1);
+    EXPECT_EQ(counters.rejected_constraints.load(), 2);
+    EXPECT_EQ(counters.query_refreshes.load(), 0);
     EXPECT_EQ(shard.CostsSnapshot().query_refreshes(), 0) << "no charge";
   }
 }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/random_walk.h"
@@ -236,6 +238,82 @@ TEST(TieredEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
+// The pump applies a drained burst event by event under one regional hold,
+// and a tick-all's fan-out must ship before the burst's next event.
+// Pushing the whole run before the pump starts makes each ring's first
+// PopBatch a multi-event burst that mixes tick-alls with single-id ticks,
+// one id twice in the same tick. With WAN loss and edge evictions on,
+// every table must see the same offers in the same order as the same
+// sequence applied synchronously. A small alpha keeps widths from
+// outgrowing the walk, so an id often refreshes in a tick-all and again in
+// its single-id tick of the same burst. LAN pushes stay reliable, so the
+// derived invariant holds on both.
+TEST(TieredEngineTest, MultiEventBurstsMatchSynchronousTicks) {
+  constexpr int kSources = 12;
+  constexpr int kEdges = 3;
+  constexpr int64_t kTicks = 40;
+  const std::vector<int> kSingles = {3, 7, 3, 10};
+  HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
+  seq_config.regional_policy.alpha = 0.1;
+  seq_config.edge_policy.alpha = 0.1;
+  TieredConfig config = TieredFrom(seq_config, 2, kSeed);
+  config.edge_capacity = 8;
+  config.wan_push_loss = 0.2;
+
+  TieredEngine lockstep(config, WalkStreams(kSources, kSeed ^ 0x55));
+  lockstep.PopulateInitial(0);
+  lockstep.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    lockstep.TickAll(t);
+    for (int id : kSingles) lockstep.TickSource(id, t);
+  }
+  lockstep.EndMeasurement(kTicks);
+
+  // No ring receives more than kTicks * (1 + kSingles.size()) = 200
+  // events, under the default bus_capacity, so pushing with no consumer
+  // never blocks.
+  TieredEngine bursts(config, WalkStreams(kSources, kSeed ^ 0x55));
+  bursts.PopulateInitial(0);
+  bursts.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
+    for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
+  }
+  ASSERT_TRUE(bursts.StartUpdatePump());
+  bursts.StopUpdatePump();  // drains the backlog before joining
+  bursts.EndMeasurement(kTicks);
+
+  for (auto [actual, expected] :
+       {std::pair{bursts.WanCosts(), lockstep.WanCosts()},
+        std::pair{bursts.LanCosts(), lockstep.LanCosts()}}) {
+    EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
+    EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
+    EXPECT_EQ(actual.total_cost, expected.total_cost);
+  }
+  EXPECT_EQ(bursts.lost_wan_pushes(), lockstep.lost_wan_pushes());
+  EXPECT_GT(lockstep.lost_wan_pushes(), 0) << "loss draws must be exercised";
+  EXPECT_EQ(bursts.counters().derived_pushes.load(),
+            lockstep.counters().derived_pushes.load());
+  for (int id = 0; id < kSources; ++id) {
+    EXPECT_EQ(bursts.regional_interval(id, kTicks),
+              lockstep.regional_interval(id, kTicks))
+        << "id " << id;
+    EXPECT_EQ(bursts.regional_raw_width(id), lockstep.regional_raw_width(id))
+        << "id " << id;
+    for (int e = 0; e < kEdges; ++e) {
+      EXPECT_EQ(bursts.edge_interval(e, id, kTicks),
+                lockstep.edge_interval(e, id, kTicks))
+          << "edge " << e << " id " << id;
+      EXPECT_EQ(bursts.edge_raw_width(e, id), lockstep.edge_raw_width(e, id))
+          << "edge " << e << " id " << id;
+    }
+  }
+  EXPECT_TRUE(lockstep.DerivedInvariantHolds(kTicks));
+  EXPECT_TRUE(bursts.DerivedInvariantHolds(kTicks));
+  EXPECT_EQ(bursts.counters().updates_applied.load(),
+            kTicks * static_cast<int64_t>(kSources + kSingles.size()));
+}
+
 // Satellite: escalation charging under push loss. A lost WAN push is
 // charged (the source paid for the message) but never reaches the
 // regional cache, so it must not cascade LAN pushes; a lost LAN push is
@@ -411,6 +489,35 @@ TEST(TieredEngineTest, ReadOutcomeCountersPartitionReads) {
   // Unknown update ids are rejected, not fatal.
   engine.TickSource(999, 1);
   EXPECT_EQ(counters.rejected_updates.load(), 1);
+}
+
+// A NaN or negative constraint can never be met, so each such read would
+// escalate to the source (one WAN Cqr) under the exclusive regional lock.
+// The read is answered with the unbounded interval instead, charge-free,
+// and counted; +inf stays a valid constraint that the edge interval meets.
+TEST(TieredEngineTest, InvalidConstraintsAreRejectedChargeFree) {
+  constexpr int kSources = 8;
+  TieredConfig config = TieredFrom(SequentialConfig(kSources, 2), 2, kSeed);
+  TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0x66));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+
+  const TieredCounters& counters = engine.counters();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_TRUE(engine.Read(0, 3, bad, 0).IsUnbounded());
+  }
+  EXPECT_EQ(counters.rejected_constraints.load(), 2);
+  EXPECT_EQ(counters.source_pulls.load(), 0);
+  EXPECT_EQ(counters.regional_hits.load(), 0);
+  EXPECT_EQ(engine.WanCosts().total_cost, 0.0);
+  EXPECT_EQ(engine.LanCosts().total_cost, 0.0);
+
+  EXPECT_FALSE(engine.Read(1, 3, kInfinity, 0).IsUnbounded())
+      << "+inf is met by the edge interval";
+  EXPECT_EQ(counters.edge_hits.load(), 1);
+  EXPECT_EQ(counters.rejected_constraints.load(), 2);
+  EXPECT_EQ(counters.reads.load(),
+            counters.edge_hits.load() + counters.rejected_constraints.load());
 }
 
 // The tiered workload driver: geo-skewed phase-shifting run completes,
