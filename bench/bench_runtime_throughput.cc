@@ -9,12 +9,11 @@
 // every read-lock mode rather than two hand-maintained twins.
 //
 // Part 2 sweeps the read-mostly serving hot path (point_read_fraction
-// 0.95) across worker threads × shards × Zipf skew, in all THREE lock
-// modes: "seqlock" (the runtime default: snapshot reads validate an
-// optimistic per-entry versioned read and take no shard lock at all),
-// "shared" (snapshot reads acquire the shard shared_mutex shared — the
-// pre-seqlock runtime), and "exclusive" (every access exclusive — the
-// original baseline). The updater streams tick-all events through the
+// 0.95) across worker threads × shards × Zipf skew, in both lock modes:
+// "seqlock" (the runtime default: snapshot reads validate an optimistic
+// per-entry versioned read and take no shard lock at all) and "shared"
+// (snapshot reads acquire the shard shared_mutex shared — the
+// pre-seqlock runtime). The updater streams tick-all events through the
 // UpdateBus during every run, so readers race a cycling writer. Every
 // returned interval is checked against its precision constraint;
 // violations must be 0.
@@ -58,8 +57,7 @@ constexpr uint64_t kSeed = 77;
 constexpr double kPointReadFraction = 0.95;
 
 constexpr ReadLockMode kModes[] = {ReadLockMode::kSeqlock,
-                                   ReadLockMode::kShared,
-                                   ReadLockMode::kExclusive};
+                                   ReadLockMode::kShared};
 
 const char* ModeName(ReadLockMode mode) {
   switch (mode) {
@@ -67,8 +65,6 @@ const char* ModeName(ReadLockMode mode) {
       return "seqlock";
     case ReadLockMode::kShared:
       return "shared";
-    case ReadLockMode::kExclusive:
-      return "exclusive";
   }
   return "?";
 }
@@ -273,12 +269,11 @@ int main(int argc, char** argv) {
 
   bench::Banner(
       "RUNTIME-2",
-      "read-mostly hot path: threads x shards x skew, all three lock modes");
+      "read-mostly hot path: threads x shards x skew, both lock modes");
   bench::Note("point_read_fraction 0.95, updates streaming through the bus;");
   bench::Note("'seqlock' = optimistic per-entry versioned reads, no shard "
               "lock (the runtime),");
-  bench::Note("'shared' = snapshot reads take shard locks shared,");
-  bench::Note("'exclusive' = every access exclusive (original baseline)");
+  bench::Note("'shared' = snapshot reads take shard locks shared");
   std::printf("\n  %9s %5s %7s %8s %12s %9s %9s %9s %10s %7s %11s\n", "mode",
               "zipf", "shards", "threads", "queries/s", "p50 us", "p95 us",
               "p99 us", "cost/tick", "ticks", "violations");
@@ -456,17 +451,17 @@ int main(int argc, char** argv) {
         .Int("violations", r.violations);
   }
 
-  // Headline comparison: the three modes at the widest concurrency. The
+  // Headline comparison: the two modes at the widest concurrency. The
   // committed BENCH_runtime.json must show seqlock >= shared at 8 threads
   // (the seqlock refactor's acceptance bar); the note below reports it,
   // but the exit status deliberately gates only the correctness invariants
   // (determinism, precision, progress) — a scheduler-noisy smoke run on an
   // arbitrary host must not flake CI over a perf race it cannot resolve.
-  bench::Banner("SUMMARY", "seqlock vs shared vs exclusive at 8 threads");
+  bench::Banner("SUMMARY", "seqlock vs shared at 8 threads");
   bool seqlock_holds = true;
   for (double zipf_s : {0.0, 1.1}) {
     for (int shards : {1, 8}) {
-      double qps[3] = {0.0, 0.0, 0.0};
+      double qps[2] = {0.0, 0.0};
       for (const SweepPoint& point : sweep) {
         if (point.threads != 8 || point.shards != shards ||
             point.zipf_s != zipf_s) {
@@ -476,13 +471,11 @@ int main(int argc, char** argv) {
       }
       double seqlock = qps[static_cast<int>(ReadLockMode::kSeqlock)];
       double shared = qps[static_cast<int>(ReadLockMode::kShared)];
-      double exclusive = qps[static_cast<int>(ReadLockMode::kExclusive)];
       if (seqlock < shared) seqlock_holds = false;
       std::printf(
           "  8 threads, %d shard%s, zipf %.1f: seqlock %8.0f | shared "
-          "%8.0f | exclusive %8.0f q/s  (seqlock vs shared %+.1f%%)\n",
+          "%8.0f q/s  (seqlock vs shared %+.1f%%)\n",
           shards, shards == 1 ? " " : "s", zipf_s, seqlock, shared,
-          exclusive,
           shared > 0.0 ? 100.0 * (seqlock - shared) / shared : 0.0);
     }
   }

@@ -13,7 +13,7 @@
 // hotspots, precision-bounded edge reads, updates streaming through the
 // bus) across edges × worker threads × read-lock modes. "seqlock" edge
 // reads validate an optimistic per-entry versioned read and take no lock
-// at all; "shared"/"exclusive" are the lock baselines. Every returned
+// at all; "shared" is the lock baseline. Every returned
 // interval is checked against its constraint; violations must be 0.
 //
 // Part 3 runs the phase-shifting edge-affinity scenario: each thread's
@@ -44,8 +44,7 @@ constexpr uint64_t kSeed = 2026;
 constexpr double kZipfS = 1.1;
 
 constexpr ReadLockMode kModes[] = {ReadLockMode::kSeqlock,
-                                   ReadLockMode::kShared,
-                                   ReadLockMode::kExclusive};
+                                   ReadLockMode::kShared};
 
 const char* ModeName(ReadLockMode mode) {
   switch (mode) {
@@ -53,8 +52,6 @@ const char* ModeName(ReadLockMode mode) {
       return "seqlock";
     case ReadLockMode::kShared:
       return "shared";
-    case ReadLockMode::kExclusive:
-      return "exclusive";
   }
   return "?";
 }
@@ -340,26 +337,25 @@ int main(int argc, char** argv) {
         .Int("violations", r.violations);
   }
 
-  // Headline: the three modes at the widest concurrency. As in
+  // Headline: the two modes at the widest concurrency. As in
   // bench_runtime_throughput, the exit status gates only the correctness
   // invariants — perf ordering is reported, not enforced, because a smoke
   // run on an arbitrary host cannot resolve a perf race.
-  bench::Banner("SUMMARY", "seqlock vs shared vs exclusive at 8 threads");
+  bench::Banner("SUMMARY", "seqlock vs shared at 8 threads");
   bool seqlock_holds = true;
   for (int edges : {1, 4}) {
-    double qps[3] = {0.0, 0.0, 0.0};
+    double qps[2] = {0.0, 0.0};
     for (const SweepPoint& point : sweep) {
       if (point.threads != 8 || point.edges != edges) continue;
       qps[static_cast<int>(point.mode)] = point.report.queries_per_second;
     }
     double seqlock = qps[static_cast<int>(ReadLockMode::kSeqlock)];
     double shared = qps[static_cast<int>(ReadLockMode::kShared)];
-    double exclusive = qps[static_cast<int>(ReadLockMode::kExclusive)];
     if (seqlock < shared) seqlock_holds = false;
     std::printf(
-        "  8 threads, %d edge%s: seqlock %8.0f | shared %8.0f | exclusive "
-        "%8.0f reads/s  (seqlock vs shared %+.1f%%)\n",
-        edges, edges == 1 ? " " : "s", seqlock, shared, exclusive,
+        "  8 threads, %d edge%s: seqlock %8.0f | shared %8.0f reads/s  "
+        "(seqlock vs shared %+.1f%%)\n",
+        edges, edges == 1 ? " " : "s", seqlock, shared,
         shared > 0.0 ? 100.0 * (seqlock - shared) / shared : 0.0);
   }
 

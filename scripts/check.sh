@@ -34,7 +34,9 @@
 #                               # replay + scenario suites, a
 #                               # bench_scenarios smoke (its exit gate is
 #                               # zero mid-run precision violations on
-#                               # every row), then rerun the concurrent
+#                               # every row, and its JSON must equal the
+#                               # committed BENCH_scenarios.json byte for
+#                               # byte), then rerun the concurrent
 #                               # scenario stress variants (thundering
 #                               # herd, hotspot migration) under
 #                               # ThreadSanitizer
@@ -133,7 +135,8 @@ if [[ "${1:-}" == "--scenarios" ]]; then
   # suites — trace round-trip replay, generator/runner checks, lockstep
   # fuzz, determinism; (2) a bench_scenarios smoke whose own exit code
   # enforces zero mid-run precision violations with active checkers on
-  # every scenario x policy row; (3) the two genuinely concurrent scenario
+  # every scenario x policy row, and whose JSON must match the committed
+  # BENCH_scenarios.json; (3) the two genuinely concurrent scenario
   # stress variants (subscriber thundering herd, hotspot migration with
   # racing edge readers) rebuilt and rerun under ThreadSanitizer.
   cmake -B build -S .
@@ -142,13 +145,20 @@ if [[ "${1:-}" == "--scenarios" ]]; then
         --timeout "$CTEST_TIMEOUT" \
         -R '^(trace_io_test|trace_replay_test|scenario_test|scenario_fuzz_test|scenario_determinism_test)$'
   ./build/bench_scenarios 240 1 build/BENCH_scenarios.json
+  # The output is deterministic, so the committed file is a gate: a
+  # behaviour change in either engine facade, the scenarios or the
+  # subscription path shows up as a byte difference.
+  if ! cmp build/BENCH_scenarios.json BENCH_scenarios.json; then
+    echo "bench_scenarios 240 1 differs from BENCH_scenarios.json" >&2
+    exit 1
+  fi
 
   cmake -B build-tsan -S . -DAPC_SANITIZE=thread -DAPCACHE_BUILD_BENCHES=OFF \
         -DAPCACHE_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
         --timeout "$CTEST_TIMEOUT" -R '^scenario_test$'
-  pass "scenario suites, bench gate (0 violations), and TSan stress clean"
+  pass "scenario suites, bench gate (0 violations, committed JSON matches), and TSan stress clean"
 fi
 
 if [[ "${1:-}" == "--analyze" ]]; then

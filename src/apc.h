@@ -70,7 +70,6 @@
 #include "stats/histogram.h"
 #include "stats/stats.h"
 
-#include "subscribe/change_sink.h"
 #include "subscribe/notification_hub.h"
 #include "subscribe/subscription_manager.h"
 #include "subscribe/subscription_table.h"

@@ -39,9 +39,9 @@ struct SystemConfig {
 /// updates, lets the ProtocolTable detect and charge value-initiated
 /// refreshes, and executes precision-constrained aggregate queries,
 /// charging a query-initiated refresh per exact value pulled from a
-/// source. The concurrent runtime's Shard drives the very same table, so a
-/// single-shard engine reproduces this system bit-for-bit (the lockstep
-/// parity tests in tests/runtime_test.cc enforce it).
+/// source. The concurrent runtime drives the very same table per shard, so
+/// a single-shard ShardedEngine reproduces this system bit-for-bit (the
+/// lockstep parity tests in tests/runtime_test.cc enforce it).
 class CacheSystem {
  public:
   CacheSystem(const SystemConfig& config,

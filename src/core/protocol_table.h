@@ -318,10 +318,11 @@ struct ValueTickOutcome {
 /// The engine-agnostic heart of the refresh protocol: the cell-driven
 /// refresh/charging state machine, the capacity-χ entry store with
 /// raw-width eviction, and per-entry versioned slots for optimistic
-/// concurrent reads. Both the sequential CacheSystem and every concurrent
-/// Shard are thin drivers over this table, which is what makes their
-/// semantics provably identical (the lockstep parity tests in
-/// tests/runtime_test.cc pin the equivalence bit-for-bit).
+/// concurrent reads. Both the sequential CacheSystem and the concurrent
+/// engine (runtime/tiered_engine.h) are thin drivers over this table,
+/// which is what makes their semantics provably identical (the lockstep
+/// parity tests in tests/runtime_test.cc pin the equivalence
+/// bit-for-bit).
 ///
 /// The charging discipline the paper implies and the tests enforce:
 ///  * a value-initiated refresh is charged Cvr when the escape is

@@ -1,6 +1,8 @@
 #include "data/trace_io.h"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -100,9 +102,16 @@ Result<Trace> LoadTraceCsv(const std::string& path) {
       char* end = nullptr;
       errno = 0;
       double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || errno == ERANGE) {
-        return Status::Corruption("non-numeric field '" + field +
-                                  "' at line " + std::to_string(line_no));
+      const char* rest = end;
+      while (std::isspace(static_cast<unsigned char>(*rest))) ++rest;
+      // The whole field must be one finite number: a NaN or infinite value
+      // would be cached as an interval that contains nothing, and "1.5abc"
+      // is not 1.5. Trailing whitespace (a CRLF line end) is fine.
+      if (end == field.c_str() || errno == ERANGE || *rest != '\0' ||
+          !std::isfinite(v)) {
+        return Status::Corruption("non-numeric or non-finite field '" +
+                                  field + "' at line " +
+                                  std::to_string(line_no));
       }
       row.push_back(v);
     }

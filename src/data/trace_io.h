@@ -23,7 +23,8 @@ Status SaveTraceCsv(const Trace& trace, const std::string& path);
 
 /// Reads a trace written by SaveTraceCsv (or any rectangular numeric CSV
 /// with the same layout; the header is optional so hand-made files load
-/// too). Returns Corruption on ragged rows, non-numeric fields, or a
+/// too). Returns Corruption on ragged rows, a field that is not wholly one
+/// finite number (NaN, ±inf and "1.5abc" included), or a
 /// header whose declared dimensions disagree with the rows actually
 /// present (a truncated or padded file); IOError when the file cannot be
 /// opened; InvalidArgument on an empty file.

@@ -69,8 +69,8 @@ enum class TraceEvent : uint8_t {
 /// record at kFull only; the rest are low-frequency control-plane spans
 /// and record at kFlight.
 enum class SpanKind : uint8_t {
-  kPointRead = 0,   // Shard::PointRead (root), id = source
-  kQuery,           // ShardedEngine::ExecuteQuery (root), id = -1
+  kPointRead = 0,   // TieredEngine::PointRead (root), id = source
+  kQuery,           // TieredEngine::ExecuteQuery (root), id = -1
   kTieredRead,      // TieredEngine::Read (root), id = source, arg n/a
   kTick,            // value-initiated refresh cascade of one tick (root)
   kNotifyBatch,     // one notifier ProcessBatch (root), id = -1

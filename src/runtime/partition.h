@@ -7,9 +7,9 @@ namespace apc {
 namespace runtime_internal {
 
 /// splitmix64 finalizer: spreads consecutive ids uniformly across shards.
-/// The ONE partition function of the runtime — ShardedEngine, TieredEngine,
-/// and the UpdateBus ring router must agree on id→shard routing, so it
-/// lives here instead of in per-consumer copies. Callers cast their int id
+/// The ONE partition function of the runtime — the engine and the
+/// UpdateBus ring router must agree on id→shard routing, so it lives here
+/// instead of in per-consumer copies. Callers cast their int id
 /// to uint64_t first (sign-extending negatives), so every consumer hashes
 /// identical bit patterns.
 inline uint64_t MixId(uint64_t x) {

@@ -2,10 +2,10 @@
 #define APC_RUNTIME_TIERED_ENGINE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "cache/source.h"
@@ -13,8 +13,8 @@
 #include "core/protocol_table.h"
 #include "data/update_stream.h"
 #include "obs/metrics.h"
+#include "query/aggregate.h"
 #include "runtime/shard.h"
-#include "runtime/sharded_engine.h"
 #include "runtime/update_bus.h"
 #include "subscribe/subscription_manager.h"
 #include "util/mutex.h"
@@ -27,7 +27,7 @@ namespace apc {
 /// sequential HierarchicalSystem): every value lives on one source, a
 /// single regional tier refreshes over the expensive WAN link, and
 /// `num_edges` edge tiers refresh from the regional tier over the cheap
-/// LAN link. Reads arrive at edges.
+/// LAN link. Reads arrive at edges, or at the regional tier itself.
 struct TieredConfig {
   int num_edges = 4;
   /// Shards per tier. Ids are hash-partitioned once; edge shard s and
@@ -54,9 +54,8 @@ struct TieredConfig {
   /// dropped. 0 disables.
   double wan_push_loss = 0.0;
   double lan_push_loss = 0.0;
-  /// How edge-local snapshot reads acquire their shard (see ReadLockMode):
-  /// optimistic seqlock validation by default; kShared/kExclusive are the
-  /// bench baselines.
+  /// How snapshot reads acquire their shard (see ReadLockMode): optimistic
+  /// seqlock validation by default; kShared is the bench baseline.
   ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
   /// Per-ring capacity of the update bus (backpressure bound for
   /// producers; the bus keeps one ring per regional shard). Must be
@@ -66,64 +65,40 @@ struct TieredConfig {
   size_t subscription_hub_capacity = 1024;
   uint64_t seed = 0;
 
+  /// At least one edge: an engine without edges is a ShardedEngine.
   bool IsValid() const;
 };
 
-/// Engine-wide tallies in lock-free counters, observable without any shard
-/// lock. The fields are obs::Counter — striped under APC_OBS=1, a single
-/// plain atomic under APC_OBS=0 — so the .load()/.fetch_add() surface and
-/// the exact-total guarantee are identical in both builds.
-struct TieredCounters {
-  obs::Counter reads;
-  /// Reads served from the edge interval, free of charge.
-  obs::Counter edge_hits;
-  /// Escalated reads satisfied by the regional interval (one LAN Cqr).
-  obs::Counter regional_hits;
-  /// Escalations that went all the way to the source (one LAN Cqr plus one
-  /// WAN Cqr); the answer is the exact value.
-  obs::Counter source_pulls;
-  /// Derived LAN pushes fanned out by regional refreshes (charged,
-  /// delivered or not).
-  obs::Counter derived_pushes;
-  obs::Counter updates_applied;
-  /// Reads naming an edge or id the engine does not host; update events
-  /// naming an unknown id. Counted, never fatal.
-  obs::Counter rejected_reads;
-  obs::Counter rejected_updates;
-  /// Reads whose constraint is NaN or negative: no interval can meet one,
-  /// so they are answered with the unbounded interval, charge-free and
-  /// before any lock, and counted.
-  obs::Counter rejected_constraints;
-  /// Streams rejected at construction (null).
-  obs::Counter rejected_sources;
+/// The tallies of both facades are one struct.
+using TieredCounters = RuntimeCounters;
 
-  /// Observability-only per-link loss tallies (no-ops under APC_OBS=0):
-  /// charged-but-lost WAN pushes (source -> regional) and LAN derived
-  /// pushes (regional -> edge). At quiescence they equal the exact
-  /// lock-summed lost_wan_pushes()/lost_lan_pushes() accessors.
-  obs::ObsCounter lost_wan_pushes;
-  obs::ObsCounter lost_lan_pushes;
-
-  /// Registers every field with `registry` under "<prefix>." names.
-  /// Non-owning; this struct must outlive the registry's snapshots.
-  void RegisterWith(obs::MetricsRegistry* registry,
-                    const std::string& prefix) const;
-};
-
-/// The tiered concurrent serving runtime: N edge tiers (LAN costs) backed
-/// by one regional tier (WAN costs), every tier a set of shards driving
-/// the shared protocol core (core/protocol_table.h) — the same table the
-/// sequential engines use, which is what makes the lockstep parity with
-/// HierarchicalSystem hold by construction.
+/// The concurrent serving runtime: an origin (regional) tier of shards
+/// over the sources, refreshing over the WAN link, plus `num_edges` edge
+/// tiers of shards that derive from it over the LAN link. Every tier
+/// drives the shared protocol core (core/protocol_table.h) — the same
+/// table the sequential engines use, which is what makes the lockstep
+/// parity with CacheSystem and HierarchicalSystem hold by construction.
+/// With zero edges it is the flat runtime of the paper's single-cache
+/// protocol; ShardedEngine is exactly that case.
 ///
-/// Reads (query-initiated): a read at an edge first validates an
-/// optimistic seqlock read of the edge interval — the hot path takes no
-/// lock at all. Only when the edge interval is wider than the constraint
-/// does it escalate: one LAN Cqr buys the regional interval (and a derived
-/// refresh of the edge entry); if the regional interval is also too wide,
-/// one WAN Cqr pulls the exact value from the source, recenters the
-/// regional interval, and fans derived refreshes out to the other edges.
+/// Origin reads: PointRead and ExecuteQuery answer at the origin tier.
+/// Snapshot reads validate an optimistic seqlock read and take no lock;
+/// an aggregate query snapshots the visible intervals, computes the
+/// paper's refresh selection globally (greedy widest-first for SUM/AVG,
+/// iterative candidate elimination for MAX/MIN), then batches the exact
+/// pulls per shard — MAX/MIN elimination runs inside the owning shard for
+/// runs of consecutive candidates, one lock acquisition per run.
+///
+/// Edge reads: Read at an edge first validates an optimistic seqlock read
+/// of the edge interval. Only when the edge interval is wider than the
+/// constraint does it escalate: one LAN Cqr buys the regional interval
+/// (and a derived refresh of the edge entry); if the regional interval is
+/// also too wide, one WAN Cqr pulls the exact value from the source.
 /// Per-hop charging is exactly HierarchicalSystem's.
+///
+/// Every origin pull — whichever read asked for it — recenters the
+/// regional interval and fans derived refreshes out to the edges (all but
+/// the reading edge, which receives its hull in the reply).
 ///
 /// Pushes (value-initiated): when a source value escapes the regional
 /// interval, the regional refresh is charged one WAN Cvr (even if failure
@@ -146,27 +121,30 @@ struct TieredCounters {
 /// whenever LAN pushes are reliable (a charged-but-lost LAN push leaves
 /// the affected edge stale by design; see DerivedInvariantHolds).
 ///
-/// Determinism: a TieredEngine with any shard/edge count, driven in
-/// lockstep from one thread with lan_push_loss == wan_push_loss == 0 and
-/// default capacities, reproduces the sequential HierarchicalSystem's
-/// answers, intervals, raw widths, and WAN/LAN charges exactly (policy
-/// RNG streams are per-entity, so even the shard partition does not
-/// perturb them). The 1-edge/1-shard case is the pinned acceptance bar;
-/// tests/tiered_engine_test.cc enforces both.
+/// Malformed input is rejected, not fatal: update events and read ids
+/// naming sources no shard owns are skipped and counted, reads with a NaN
+/// or negative constraint are answered unbounded and counted, both before
+/// any lock, and duplicate ids within one query are pulled (and charged)
+/// once.
 ///
-/// Standing queries: subscriptions attach at the REGIONAL tier — the push
-/// gateway of the topology. A subscription answer is built from regional
-/// guaranteed intervals; an escalation costs one WAN Cqr (the
-/// query-initiated regional refresh) and fans the recentered interval out
-/// to the edges, exactly like a source pull on the read path, so the
-/// subscription layer pays per-hop costs identical to an escalated read.
-class TieredEngine : private SubscriptionHost {
+/// Determinism: driven in lockstep from one thread with lan_push_loss ==
+/// wan_push_loss == 0 and default capacities, the engine reproduces the
+/// sequential HierarchicalSystem's answers, intervals, raw widths, and
+/// WAN/LAN charges exactly, for any shard and edge count (policy RNG
+/// streams are per-entity); tests/tiered_engine_test.cc enforces it.
+///
+/// Standing queries attach at the REGIONAL tier — the push gateway of the
+/// topology. A subscription answer is built from regional guaranteed
+/// intervals; an escalation is one origin pull, charged and fanned out
+/// exactly like an escalated read's source hop.
+class TieredEngine {
  public:
   /// `streams[i]` drives source id i. Null streams are rejected and
-  /// counted in TieredCounters::rejected_sources. `config` must satisfy
+  /// counted in RuntimeCounters::rejected_sources. `config` must satisfy
   /// TieredConfig::IsValid() — asserted in debug builds, sanitized
-  /// (clamped into valid ranges) in release per the no-exceptions
-  /// contract. Call PopulateInitial before serving.
+  /// (clamped into valid ranges, invalid costs and policies reset to the
+  /// defaults) in release per the no-exceptions contract. Call
+  /// PopulateInitial before serving.
   TieredEngine(const TieredConfig& config,
                std::vector<std::unique_ptr<UpdateStream>> streams);
   ~TieredEngine();
@@ -175,10 +153,10 @@ class TieredEngine : private SubscriptionHost {
   TieredEngine& operator=(const TieredEngine&) = delete;
 
   int num_edges() const { return config_.num_edges; }
-  int num_shards() const { return static_cast<int>(regional_.size()); }
+  int num_shards() const { return static_cast<int>(origin_.size()); }
   size_t num_sources() const { return num_sources_; }
   int ShardOf(int id) const;
-  /// Safe without any lock: the regional tables' id→slot indices are
+  /// Safe without any lock: the origin tables' id→slot indices are
   /// immutable after construction.
   bool Owns(int id) const;
 
@@ -189,14 +167,31 @@ class TieredEngine : private SubscriptionHost {
   /// Synchronous lockstep update of every source (deterministic path):
   /// advances each stream one tick and performs the value-initiated
   /// refresh cascade (WAN push + LAN fan-out) the new values trigger. Each
-  /// regional shard is one exclusive hold and three passes: advance every
-  /// stream, run the regional refreshes slot by slot, then ship their
+  /// origin shard is one exclusive hold and three passes: advance every
+  /// stream, run the origin refreshes slot by slot, then ship their
   /// derived pushes edge by edge. Every table sees the same offers in the
   /// same order as ticking source by source.
   void TickAll(int64_t now);
 
   /// Advances a single source; unknown ids are counted as rejected.
   void TickSource(int id, int64_t now);
+
+  /// Executes a precision-bounded aggregate query at the origin tier at
+  /// `now`; thread-safe. The result interval's width is at most the
+  /// query's constraint. A NaN or negative constraint, which no answer can
+  /// meet, yields the unbounded interval before any lock, charge-free,
+  /// counted in rejected_constraints; ids no shard owns are dropped and
+  /// counted in rejected_query_ids.
+  Interval ExecuteQuery(const Query& query, int64_t now);
+
+  /// Precision-bounded read of one source value at the origin tier:
+  /// returns the cached interval when its width already satisfies
+  /// `max_width`, otherwise takes the exclusive lock, re-checks — a racing
+  /// refresh may have satisfied the bound in between, in which case
+  /// nothing is charged — and pulls the exact value (one query-initiated
+  /// refresh). An invalid `max_width` or an unowned id is rejected like
+  /// ExecuteQuery's, before any lock. +inf is a valid bound.
+  Interval PointRead(int id, double max_width, int64_t now);
 
   /// Precision-bounded read of `id` at `edge`: returns an interval of
   /// width <= `constraint` that contains the exact value (when pushes are
@@ -221,19 +216,23 @@ class TieredEngine : private SubscriptionHost {
   bool Unsubscribe(int64_t sub_id) {
     return subscriptions_.Unsubscribe(sub_id);
   }
-  /// Live re-precisioning of a standing query without re-registration.
+  /// Live re-precisioning of a standing query without re-registration: a
+  /// tightened bound re-evaluates immediately and pushes once it is met.
   bool Reprecision(int64_t sub_id, double delta, int64_t now) {
     return subscriptions_.Reprecision(sub_id, delta, now);
   }
+  /// The hub subscriber threads drain.
   NotificationHub& notifications() { return subscriptions_.hub(); }
   SubscriptionManager& subscriptions() { return subscriptions_; }
   const SubscriptionManager& subscriptions() const { return subscriptions_; }
 
   // -- asynchronous update path --------------------------------------
   UpdateBus& bus() { return bus_; }
-  /// Starts the pump thread draining the bus into the regional tier (the
-  /// LAN fan-out happens at delivery). Returns false once the bus has
-  /// been closed — the asynchronous path is single-use per engine.
+  /// Starts the pump thread draining the bus into the origin tier (the
+  /// LAN fan-out happens at delivery). Returns true when the pump is
+  /// running (newly started or already); returns false — and starts
+  /// nothing — once the bus has been closed: the asynchronous path is
+  /// single-use per engine.
   bool StartUpdatePump();
   /// Closes the bus, drains the backlog, and joins the pump.
   void StopUpdatePump();
@@ -241,20 +240,20 @@ class TieredEngine : private SubscriptionHost {
   // -- measurement and observability ---------------------------------
   void BeginMeasurement(int64_t now);
   void EndMeasurement(int64_t now);
-  /// Aggregated WAN-link (regional tier) / LAN-link (all edge tiers)
-  /// costs, summed over the per-shard CostTrackers.
+  /// Aggregated WAN-link (origin tier) / LAN-link (all edge tiers) costs,
+  /// summed over the per-shard CostTrackers.
   EngineCosts WanCosts() const;
   EngineCosts LanCosts() const;
   /// Combined WAN+LAN cost per tick over the measured period.
   double TotalCostRate() const;
   int64_t lost_wan_pushes() const;
   int64_t lost_lan_pushes() const;
-  const TieredCounters& counters() const { return counters_; }
+  const RuntimeCounters& counters() const { return counters_; }
 
-  /// The engine's metrics registry: every TieredCounters tally (under
-  /// "tiered."), the update bus ("tiered.bus."), and the subscription
-  /// layer ("subs.") registered at construction. Under APC_OBS=0
-  /// snapshots are empty.
+  /// The engine's metrics registry: every RuntimeCounters tally, the
+  /// update bus, and the subscription layer ("subs.") registered at
+  /// construction, under the facade's prefixes ("tiered." and
+  /// "tiered.bus." here). Under APC_OBS=0 snapshots are empty.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
@@ -265,13 +264,23 @@ class TieredEngine : private SubscriptionHost {
   /// attached before the first charge.
   void SetAttribution(obs::AttributionTable* sink);
 
+  /// The interval a regional-tier query sees for `id` at `now` — the
+  /// subscription snapshot too: the seqlock read, settled under the shared
+  /// lock when torn (always taken shared in kShared mode).
+  Interval regional_interval(int id, int64_t now = 0) const;
   /// Observability accessors (consistent snapshots under the owning shard
   /// locks). Unknown ids/edges yield the unbounded interval / NaN.
-  Interval regional_interval(int id, int64_t now = 0) const;
   Interval edge_interval(int edge, int id, int64_t now = 0) const;
   double regional_raw_width(int id) const;
   double edge_raw_width(int edge, int id) const;
   double exact_value(int id) const;
+  /// The origin tier's total cache capacity χ: the sum of its shards'
+  /// slices.
+  size_t regional_capacity() const;
+  /// Mean retained raw width across all sources (convergence observable).
+  double MeanRawWidth() const;
+  /// Number of sources hosted by each origin shard (partition balance).
+  std::vector<size_t> ShardSourceCounts() const;
 
   /// Checks A_edge ⊇ A_regional for every cached (edge, id) pair whose
   /// regional entry is cached, under the per-id regional shard locks — a
@@ -280,55 +289,49 @@ class TieredEngine : private SubscriptionHost {
   /// stale until the next delivered refresh.
   bool DerivedInvariantHolds(int64_t now = 0) const;
 
+ protected:
+  /// A capacity that gives each shard one slot per id it owns.
+  static constexpr size_t kOneSlotPerId = std::numeric_limits<size_t>::max();
+
+  /// What a facade builds the engine from. The config is final: sanitized
+  /// by the facade, `num_shards` >= 1 already clamped, `num_edges` >= 0,
+  /// and a capacity of kOneSlotPerId sliced per owned id rather than
+  /// evenly. `sources` register in input order; a null source, one whose
+  /// policy configuration is invalid, or a duplicate id is rejected and
+  /// counted in rejected_sources. `edge_policies[e][i]` is edge e's policy
+  /// for `sources[i]`. The counters, the bus and the subscription layer
+  /// register under `counter_prefix` / `bus_prefix`.
+  struct Layout {
+    TieredConfig config;
+    std::vector<std::unique_ptr<Source>> sources;
+    std::vector<std::vector<std::unique_ptr<PrecisionPolicy>>> edge_policies;
+    std::string counter_prefix;
+    std::string bus_prefix;
+  };
+  explicit TieredEngine(Layout layout);
+
  private:
-  /// A delivered regional refresh of `id` (at `slot`) whose derived pushes
-  /// have not shipped yet: every edge must come to contain `parent`.
-  struct PendingFanOut {
-    uint32_t slot;
-    int id;
-    Interval parent;
-  };
-
-  /// One partition of the regional tier: the sources hashed to it (stream
-  /// + ProtocolCell with the WAN-bound policy) and their share of the
-  /// regional cache, a shared-core ProtocolTable charging WAN costs.
-  ///
-  /// One id index serves the whole shard set: the table's id→slot index.
-  /// Regional shard s and every edge shard s register the same ids in the
-  /// same order, so an id's slot index addresses `sources`, every edge's
-  /// `cells`, and the slots of all those tables alike.
-  struct RegionalShard {
-    RegionalShard(const ProtocolTable::Config& table_config, uint64_t seed)
-        : table(table_config, seed) {}
-    /// Rank kEngineShard: taken after the subscription manager's mutex,
-    /// before any edge shard (regional -> edge, never the reverse).
-    mutable SharedMutex mu{LockRank::kEngineShard, "regional.mu"};
-    /// By value, by slot: a tick's stream-advance pass walks one
-    /// contiguous array rather than chasing a heap pointer per source.
-    std::vector<Source> sources APC_GUARDED_BY(mu);
-    ProtocolTable table APC_GUARDED_BY(mu);
-    std::vector<int> dirty_scratch APC_GUARDED_BY(mu);  // exclusive scratch
-    /// The regional refreshes a tick pass delivered, in slot order, waiting
-    /// to ship edge by edge (exclusive scratch). Reserved to one per source
-    /// at construction — a pass delivers at most that — so the pump
-    /// allocates nothing.
-    std::vector<PendingFanOut> fan_out APC_GUARDED_BY(mu);
-  };
-
   /// One partition of one edge tier: the derived cells (per-value raw
   /// width + last-shipped hull + LAN-bound policy — sender-side state
   /// conceptually owned by the regional cache) and the edge cache slice, a
-  /// ProtocolTable charging LAN costs. Locked after the matching regional
+  /// ProtocolTable charging LAN costs. Locked after the matching origin
   /// shard, never before.
   struct EdgeShard {
     EdgeShard(const ProtocolTable::Config& table_config, uint64_t seed)
         : table(table_config, seed) {}
-    /// Rank kEdgeShard: only ever taken under the matching regional
-    /// shard's lock (or alone, for edge-local snapshot reads).
+    /// Rank kEdgeShard: only ever taken under the matching origin shard's
+    /// lock (or alone, for edge-local snapshot reads).
     mutable SharedMutex mu{LockRank::kEdgeShard, "edge.mu"};
     std::vector<ProtocolCell> cells APC_GUARDED_BY(mu);  // by slot
     ProtocolTable table APC_GUARDED_BY(mu);
   };
+
+  /// The public constructor's layout: the sanitized config, one adaptive
+  /// source per non-null stream and the edge policies, their seeds drawn
+  /// in HierarchicalSystem's order.
+  static Layout TieredLayout(
+      const TieredConfig& config,
+      std::vector<std::unique_ptr<UpdateStream>> streams);
 
   /// Builds the derived approximation for an edge: DerivedHull
   /// (hierarchy/hierarchy.h) of the parent interval at the cell's
@@ -337,108 +340,160 @@ class TieredEngine : private SubscriptionHost {
   static CachedApprox DerivedApprox(const ProtocolCell& cell,
                                     const Interval& parent, int64_t now);
 
-  /// Advances one source and runs the value-initiated refresh cascade:
-  /// the single-id path, fanning out through FanOutLocked. `rs` is the
-  /// owning regional shard (== *regional_[shard]); its lock must be held
-  /// exclusively.
-  void TickSourceLocked(RegionalShard& rs, int shard, Source& src,
-                        int64_t now) APC_REQUIRES(rs.mu);
+  /// Advances the source at `slot` of `s` (origin shard `shard`) and runs
+  /// its value-initiated refresh cascade: the single-id path, fanning out
+  /// through FanOutLocked. Requires `s.mu` held exclusively.
+  void TickSourceLocked(Shard& s, int shard, uint32_t slot, int64_t now)
+      APC_REQUIRES(s.mu);
 
-  /// Ticks every source of `rs` (== *regional_[shard]) at `now` as three
+  /// Ticks every source of `s` (origin shard `shard`) at `now` as three
   /// passes: advance every stream; run OfferValueLocked slot by slot,
-  /// collecting each delivered refresh in `rs.fan_out`; then ship those
+  /// collecting each delivered refresh in `s.fan_out`; then ship those
   /// edge by edge through PushDerivedLocked, one exclusive acquisition of
-  /// each edge shard. Requires `rs.mu` held exclusively for the whole
-  /// pass, so no reader observes a regional refresh before its fan-out.
-  void TickAllLocked(RegionalShard& rs, int shard, int64_t now)
-      APC_REQUIRES(rs.mu);
+  /// each edge shard. Requires `s.mu` held exclusively for the whole
+  /// pass, so no reader observes an origin refresh before its fan-out.
+  void TickAllLocked(Shard& s, int shard, int64_t now) APC_REQUIRES(s.mu);
 
-  /// The regional value step of a source whose stream already holds its
-  /// value at `now`: OnValueTick plus the WAN loss tally. Returns true when
-  /// a refresh reached the regional cache — the case that needs a fan-out.
-  /// Requires `rs.mu` held exclusively.
-  bool OfferValueLocked(RegionalShard& rs, Source& src, int64_t now)
-      APC_REQUIRES(rs.mu);
+  /// The origin value step of a source whose stream already holds its
+  /// value at `now`: OnValueTick plus the refresh tally; a push lost in
+  /// transit adds one to `*lost`, which the caller tallies once per pass
+  /// through CountLostPushes (keeping the per-source step small enough to
+  /// inline into the pass). Returns true when a refresh reached the origin
+  /// cache — the case that needs a fan-out. Requires `s.mu` held
+  /// exclusively.
+  bool OfferValueLocked(Shard& s, Source& src, int64_t now, int64_t* lost)
+      APC_REQUIRES(s.mu);
+  /// Adds `lost` charged-but-lost origin pushes to both loss tallies.
+  void CountLostPushes(int64_t lost);
 
-  /// Single-id fan-out (an escalated read's source pull, SubscriptionPull,
-  /// a single-id update event): PushDerivedLocked to every edge except
-  /// `skip_edge`, taking each edge shard lock in turn (rank order
-  /// regional -> edge). `rs` (== *regional_[shard]) must be held
-  /// exclusively — that exclusivity is what freezes the (regional, edge)
-  /// state of the shard's ids.
-  void FanOutLocked(RegionalShard& rs, int shard, int id,
-                    const Interval& parent, int64_t now, int skip_edge)
-      APC_REQUIRES(rs.mu);
+  /// The one origin pull: a query-initiated refresh of the source at
+  /// `slot` of `s` (origin shard `shard`) — one Cqr through
+  /// ProtocolTable::Pull, which re-offers the fresh approximation —
+  /// counted in query_refreshes, then fanned out to every edge except
+  /// `skip_edge`. Returns the exact value. Requires `s.mu` held
+  /// exclusively.
+  double PullOriginLocked(Shard& s, int shard, uint32_t slot, int64_t now,
+                          int skip_edge) APC_REQUIRES(s.mu);
+
+  /// Ships the origin interval of the source at `slot` of `s` to every
+  /// edge except `skip_edge` through PushDerivedLocked, taking each edge
+  /// shard lock in turn (rank order origin -> edge). A no-op without
+  /// edges. `s` (origin shard `shard`) must be held exclusively — that
+  /// exclusivity is what freezes the (regional, edge) state of its ids.
+  void FanOutLocked(Shard& s, int shard, uint32_t slot, int64_t now,
+                    int skip_edge) APC_REQUIRES(s.mu);
 
   /// Ships a derived refresh of `id` (at `slot`) to edge shard `es` when
   /// the edge's last-shipped interval no longer contains `parent`,
   /// charging one LAN Cvr. Requires `es.mu` held exclusively, under the
-  /// matching regional shard's exclusive hold.
+  /// matching origin shard's exclusive hold.
   void PushDerivedLocked(EdgeShard& es, uint32_t slot, int id,
                          const Interval& parent, int64_t now)
       APC_REQUIRES(es.mu);
 
   /// Installs a derived hull of `parent` at (edge shard, id) as a refresh
-  /// of kind `type`, charging the edge table per OfferDerived. `rs` is the
-  /// regional shard matching `es`; holding it (shared suffices) keeps the
+  /// of kind `type`, charging the edge table per OfferDerived. `s` is the
+  /// origin shard matching `es`; holding it (shared suffices) keeps the
   /// parent interval from being overwritten mid-install. Takes the edge
   /// shard lock exclusively.
-  void InstallDerived(const RegionalShard& rs, EdgeShard& es, int id,
+  void InstallDerived(const Shard& s, EdgeShard& es, int id,
                       const Interval& parent, RefreshType type, int64_t now)
-      APC_REQUIRES_SHARED(rs.mu);
+      APC_REQUIRES_SHARED(s.mu);
 
-  /// Applies one drained bus burst to regional shard `shard` under ONE
-  /// exclusive lock acquisition — the pump's whole-burst entry point —
-  /// event by event. A kAllSources event (this ring's copy of a broadcast)
-  /// is TickAllLocked, whose fan-out ships before the burst's next event,
-  /// so per-source event order holds; a specific id is TickSourceLocked;
-  /// unknown ids are counted as rejected. Changes are published once, at
+  /// Hands the origin table's watched dirty ids (or, when only unwatched
+  /// ids changed, just its clock) to the subscription manager
+  /// (enqueue-only). Requires `s.mu` held exclusively.
+  void PublishChangesLocked(Shard& s, int64_t now) APC_REQUIRES(s.mu);
+
+  /// Applies one burst of update events to origin shard `shard` under ONE
+  /// exclusive lock acquisition — the pump's whole-burst entry point, and
+  /// the synchronous TickAll/TickSource path — event by event. A
+  /// kAllSources event (this ring's copy of a broadcast) is TickAllLocked,
+  /// whose fan-out ships before the burst's next event, so per-source
+  /// event order holds; a specific id is TickSourceLocked; unknown ids are
+  /// counted as rejected. Changes are published once, at
   /// the batch-maximum time (the bus batch need not be time-ordered),
   /// before the hold is released.
   void ApplyShardEvents(int shard, const UpdateEvent* events, size_t count);
   void PumpLoop();
 
-  // SubscriptionHost: the regional tier is the subscription surface.
-  Interval SubscriptionSnapshot(int id, int64_t now) const override;
-  Interval SubscriptionPull(int id, int64_t now) override;
-  bool SubscriptionOwns(int id) const override { return Owns(id); }
-  void SubscriptionWatch(const std::vector<int>& ids, bool watched) override;
+  /// Calls `fn(table)` on every tier's table, shard by shard, each under
+  /// its shard lock held exclusively (origin -> edge).
+  template <class Fn>
+  void ForEachTable(Fn fn);
 
-  /// Hands the regional table's watched dirty ids (or, when only unwatched
-  /// ids changed, just its clock) to the subscription manager
-  /// (enqueue-only). Requires the regional shard lock held exclusively.
-  void PublishRegionalChangesLocked(RegionalShard& rs, int64_t now)
-      APC_REQUIRES(rs.mu);
+  /// Fills `items->at(slot.first).interval` with the visible interval of
+  /// `slot.second` for every slot of `s`: no lock for entries whose seqlock
+  /// read validates, one shared acquisition for any that tore (or for all,
+  /// in kShared mode).
+  void FillIntervals(const Shard& s, const std::vector<ShardSlot>& slots,
+                     std::vector<QueryItem>* items, int64_t now) const;
 
-  /// The seqlock optimistic edge read — a sanctioned analysis carve-out
-  /// (see Shard::TryVisibleIntervalNoLock): touches the edge table's
-  /// versioned slots with no lock by design.
-  static SnapshotRead TryEdgeVisibleNoLock(const EdgeShard& es, int id,
-                                           int64_t now, Interval* out)
-      APC_NO_THREAD_SAFETY_ANALYSIS;
-  /// `id`'s slot index in `rs`, or EntryStore::kNoSlot — the slot-index
-  /// carve-out (see Shard::SlotOfNoLock): reads the table's id→slot index,
-  /// immutable after construction, with no lock.
-  static uint32_t SlotOfNoLock(const RegionalShard& rs, int id)
+  /// Runs the MAX/MIN candidate-elimination loop for as long as the next
+  /// candidate is owned by origin shard `shard`, under ONE exclusive
+  /// acquisition: pulls the candidate, stores the exact interval into
+  /// every item with that source id (a duplicated id is charged once), and
+  /// recomputes. `first_idx` is the candidate that routed the caller here.
+  /// Returns the first candidate index owned by another shard, or -1 when
+  /// the constraint is satisfied. `kind` must be kMax or kMin.
+  int PullCandidateRun(int shard, AggregateKind kind, double constraint,
+                       int first_idx, std::vector<QueryItem>* items,
+                       int64_t now);
+
+  /// The subscription manager's view of the engine: the origin tier. A
+  /// member rather than a base of the engine, so a facade's destructor
+  /// never rewrites a vtable pointer the notifier thread still calls
+  /// through; the notifier is joined before this member dies.
+  class Host : public SubscriptionHost {
+   public:
+    explicit Host(TieredEngine* engine) : engine_(engine) {}
+    Interval SubscriptionSnapshot(int id, int64_t now) const override {
+      return engine_->regional_interval(id, now);
+    }
+    Interval SubscriptionPull(int id, int64_t now) override;
+    bool SubscriptionOwns(int id) const override { return engine_->Owns(id); }
+    void SubscriptionWatch(const std::vector<int>& ids,
+                           bool watched) override;
+
+   private:
+    TieredEngine* const engine_;
+  };
+
+  /// The seqlock optimistic read of `id` in either tier's shard — a
+  /// sanctioned analysis carve-out: it touches the table's versioned slots
+  /// with no lock by design (validation detects torn reads), which
+  /// GUARDED_BY cannot type.
+  template <class TierShard>
+  static SnapshotRead TryVisibleNoLock(const TierShard& s, int id,
+                                       int64_t now, Interval* out)
       APC_NO_THREAD_SAFETY_ANALYSIS {
-    return rs.table.SlotOf(id);
+    return s.table.TryVisibleInterval(id, now, out);
+  }
+  /// `id`'s slot index in `s`, or EntryStore::kNoSlot — the slot-index
+  /// carve-out: reads the table's id→slot index, immutable after
+  /// construction, with no lock.
+  static uint32_t SlotOfNoLock(const Shard& s, int id)
+      APC_NO_THREAD_SAFETY_ANALYSIS {
+    return s.table.SlotOf(id);
   }
 
   /// Declared first: destroyed last, so the non-owning registrations of
   /// member-owned metrics never dangle while snapshots can be taken.
   obs::MetricsRegistry metrics_;
-  TieredConfig config_;
-  std::vector<std::unique_ptr<RegionalShard>> regional_;
-  /// edges_[edge][shard]; edge shard s owns exactly the ids of regional
+  const TieredConfig config_;
+  std::vector<std::unique_ptr<Shard>> origin_;
+  /// edges_[edge][shard]; edge shard s owns exactly the ids of origin
   /// shard s.
   std::vector<std::vector<std::unique_ptr<EdgeShard>>> edges_;
   size_t num_sources_ = 0;
-  TieredCounters counters_;
+  /// Mutable: the const snapshot reads tally their seqlock retries.
+  mutable RuntimeCounters counters_;
   UpdateBus bus_;
   /// Rank kControl: Stop closes the bus (kQueue) and joins under it.
-  Mutex pump_mu_{LockRank::kControl, "tiered.pump_mu"};
+  Mutex pump_mu_{LockRank::kControl, "engine.pump_mu"};
   std::thread pump_ APC_GUARDED_BY(pump_mu_);
   bool pump_running_ APC_GUARDED_BY(pump_mu_) = false;
+  Host host_{this};
   /// Declared last: destroyed first, so the notifier thread is joined
   /// while the tiers it reads through are still alive.
   SubscriptionManager subscriptions_;

@@ -76,32 +76,110 @@ void AwaitFirstBurst(const std::atomic<bool>& first_burst_done) {
   }
 }
 
-/// Merged latency/violation view over the per-thread results (histograms
-/// merge exactly because every thread uses the one shared layout).
-struct LatencySummary {
-  int64_t violations = 0;
-  double mean_us = 0.0;
-  double max_us = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-};
+/// Times one read call into `local` and checks its width against
+/// `constraint` — every query of both workloads goes through here.
+template <class ReadCall>
+void TimedRead(ThreadResult& local, double constraint, ReadCall read) {
+  auto t0 = std::chrono::steady_clock::now();
+  Interval result = read();
+  auto t1 = std::chrono::steady_clock::now();
+  double us = std::chrono::duration<double, std::micro>(t1 - t0).count();
+  local.latency_us.Add(us);
+  local.stats.Add(us);
+  if (ViolatesConstraint(result, constraint)) ++local.violations;
+}
 
-LatencySummary Summarize(const std::vector<ThreadResult>& results) {
+/// The closed loop both drivers share. Populates the engine and begins
+/// measurement; with `run_updates`, starts the pump and an updater that
+/// pushes `burst()` tick-alls at a time (0 pauses it); runs `num_threads`
+/// workers, each of which waits for the updater's first burst and then
+/// runs `worker(ti, clock, local)`, issuing its reads through TimedRead;
+/// joins them; stops the pump, which closes the bus; ends measurement at
+/// the last accepted tick; and fills the fields both report types share
+/// for a run of `queries` reads.
+template <class Report, class Burst, class Worker>
+void RunClosedLoop(TieredEngine& engine, int num_threads, int64_t queries,
+                   bool run_updates, Burst burst, Worker worker,
+                   Report* report) {
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+
+  std::atomic<int64_t> clock{0};
+  std::atomic<bool> stop_updates{false};
+  std::thread updater;
+  // StartUpdatePump fails when the engine's bus was already closed by a
+  // previous updating run; the workload then runs against static values.
+  const bool updates_running = run_updates && engine.StartUpdatePump();
+  // Gated only when the run starts updating: a paused first phase never
+  // pushes a burst.
+  std::atomic<bool> first_burst_done{!updates_running || burst() == 0};
+  if (updates_running) {
+    // The updater streams tick-all events through the bus as fast as
+    // backpressure allows; a slow pump throttles it instead of the queue
+    // growing without bound (tick discipline: see PushTickBurst).
+    updater = std::thread([&] {
+      while (!stop_updates.load(std::memory_order_relaxed)) {
+        const int n = burst();
+        if (n == 0) {
+          // Updates paused (a pure-read regime): sleep rather than spin so
+          // the pause doesn't steal cycles from the query workers it is
+          // supposed to leave unperturbed.
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          continue;
+        }
+        bool open = PushTickBurst(engine.bus(), clock, n);
+        first_burst_done.store(true, std::memory_order_release);
+        if (!open) return;
+        std::this_thread::yield();
+      }
+    });
+  }
+
+  std::vector<ThreadResult> results(static_cast<size_t>(num_threads));
+  std::vector<std::thread> workers;
+  workers.reserve(results.size());
+  auto wall_start = std::chrono::steady_clock::now();
+  for (int ti = 0; ti < num_threads; ++ti) {
+    workers.emplace_back([&, ti] {
+      AwaitFirstBurst(first_burst_done);
+      worker(ti, clock, results[static_cast<size_t>(ti)]);
+    });
+  }
+  for (auto& thread : workers) thread.join();
+  auto wall_end = std::chrono::steady_clock::now();
+
+  if (updates_running) {
+    stop_updates.store(true, std::memory_order_relaxed);
+    updater.join();
+    engine.StopUpdatePump();  // closes the bus and drains the backlog
+  }
+
+  // With no updates the measured period is 0 ticks; CostRate() then
+  // reports 0 rather than pretending the whole run was one tick.
+  report->ticks = clock.load(std::memory_order_relaxed);
+  engine.EndMeasurement(report->ticks);
+
+  // The per-thread histograms merge exactly: every thread uses the one
+  // shared layout.
   Histogram merged = MakeLatencyHistogram();
   SummaryStats stats;
-  LatencySummary out;
   for (const ThreadResult& local : results) {
     merged.Merge(local.latency_us);
     stats.Merge(local.stats);
-    out.violations += local.violations;
+    report->violations += local.violations;
   }
-  out.mean_us = stats.mean();
-  out.max_us = stats.max();
-  out.p50_us = merged.Quantile(0.50);
-  out.p95_us = merged.Quantile(0.95);
-  out.p99_us = merged.Quantile(0.99);
-  return out;
+  report->queries = queries;
+  report->wall_seconds =
+      std::chrono::duration<double>(wall_end - wall_start).count();
+  report->queries_per_second =
+      report->wall_seconds > 0.0
+          ? static_cast<double>(queries) / report->wall_seconds
+          : 0.0;
+  report->latency_mean_us = stats.mean();
+  report->latency_max_us = stats.max();
+  report->latency_p50_us = merged.Quantile(0.50);
+  report->latency_p95_us = merged.Quantile(0.95);
+  report->latency_p99_us = merged.Quantile(0.99);
 }
 
 }  // namespace
@@ -167,131 +245,54 @@ DriverReport RunWorkload(ShardedEngine& engine, const DriverConfig& config) {
   const std::vector<WorkloadPhase> schedule = EffectiveSchedule(config);
   const size_t num_threads = static_cast<size_t>(config.num_threads);
 
-  engine.PopulateInitial(0);
-  engine.BeginMeasurement(0);
-
-  std::atomic<int64_t> clock{0};
-  std::atomic<bool> stop_updates{false};
   // Phase each worker is currently in; the updater follows the slowest
   // worker so the update:query regime flips system-wide at the boundary.
   std::vector<std::atomic<int>> thread_phase(num_threads);
   for (auto& phase : thread_phase) phase.store(0, std::memory_order_relaxed);
-
-  std::thread updater;
-  // StartUpdatePump fails when the engine's bus was already closed by a
-  // previous updating run; the workload then runs against static values.
-  bool updates_running = config.run_updates && engine.StartUpdatePump();
-  // Gated only when the first phase updates: a paused first phase never
-  // pushes a burst.
-  std::atomic<bool> first_burst_done{!updates_running ||
-                                     schedule.front().update_burst == 0};
-  if (updates_running) {
-    // The updater streams tick-all events through the bus as fast as
-    // backpressure allows; a slow pump throttles it instead of the queue
-    // growing without bound (tick discipline: see PushTickBurst).
-    updater = std::thread([&] {
-      while (!stop_updates.load(std::memory_order_relaxed)) {
-        // Slowest worker's phase decides the regime.
-        int slowest = static_cast<int>(schedule.size()) - 1;
-        for (const auto& phase : thread_phase) {
-          slowest = std::min(slowest, phase.load(std::memory_order_relaxed));
-        }
-        int burst = schedule[static_cast<size_t>(slowest)].update_burst;
-        if (burst == 0) {
-          // Updates paused for this phase (pure-read regime): sleep rather
-          // than spin so the pause doesn't steal cycles from the query
-          // workers it is supposed to leave unperturbed.
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          continue;
-        }
-        bool open = PushTickBurst(engine.bus(), clock, burst);
-        first_burst_done.store(true, std::memory_order_release);
-        if (!open) return;
-        std::this_thread::yield();
+  auto burst = [&] {
+    int slowest = static_cast<int>(schedule.size()) - 1;
+    for (const auto& phase : thread_phase) {
+      slowest = std::min(slowest, phase.load(std::memory_order_relaxed));
+    }
+    return schedule[static_cast<size_t>(slowest)].update_burst;
+  };
+  auto worker = [&](int ti, const std::atomic<int64_t>& clock,
+                    ThreadResult& local) {
+    uint64_t t = static_cast<uint64_t>(ti);
+    Rng rng(config.seed ^ (0xD517ULL + 0xBF58476DULL * t));
+    for (size_t p = 0; p < schedule.size(); ++p) {
+      const WorkloadPhase& phase = schedule[p];
+      thread_phase[static_cast<size_t>(ti)].store(static_cast<int>(p),
+                                                  std::memory_order_relaxed);
+      QueryWorkloadParams workload = config.workload;
+      workload.zipf_s = phase.zipf_s;
+      QueryGenerator gen(workload, config.seed ^ (0xA11CEULL +
+                                                  0x9E3779B9ULL * t +
+                                                  0x51CEB00BULL * p));
+      // Hoisted and reused: Next(&query) recycles source_ids capacity,
+      // so the steady-state query loop performs no heap allocation.
+      Query query;
+      for (int64_t q = 0; q < phase.queries_per_thread; ++q) {
+        gen.Next(&query);
+        int64_t now = clock.load(std::memory_order_relaxed);
+        bool point_read = phase.point_read_fraction > 0.0 &&
+                          rng.Bernoulli(phase.point_read_fraction);
+        TimedRead(local, query.constraint, [&] {
+          return point_read ? engine.PointRead(query.source_ids.front(),
+                                               query.constraint, now)
+                            : engine.ExecuteQuery(query, now);
+        });
       }
-    });
-  }
-
-  std::vector<ThreadResult> results(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  auto wall_start = std::chrono::steady_clock::now();
-
-  for (int ti = 0; ti < config.num_threads; ++ti) {
-    workers.emplace_back([&, ti] {
-      AwaitFirstBurst(first_burst_done);
-      ThreadResult& local = results[static_cast<size_t>(ti)];
-      uint64_t t = static_cast<uint64_t>(ti);
-      Rng rng(config.seed ^ (0xD517ULL + 0xBF58476DULL * t));
-      for (size_t p = 0; p < schedule.size(); ++p) {
-        const WorkloadPhase& phase = schedule[p];
-        thread_phase[static_cast<size_t>(ti)].store(
-            static_cast<int>(p), std::memory_order_relaxed);
-        QueryWorkloadParams workload = config.workload;
-        workload.zipf_s = phase.zipf_s;
-        QueryGenerator gen(workload,
-                           config.seed ^ (0xA11CEULL + 0x9E3779B9ULL * t +
-                                          0x51CEB00BULL * p));
-        // Hoisted and reused: Next(&query) recycles source_ids capacity,
-        // so the steady-state query loop performs no heap allocation.
-        Query query;
-        for (int64_t q = 0; q < phase.queries_per_thread; ++q) {
-          gen.Next(&query);
-          int64_t now = clock.load(std::memory_order_relaxed);
-          bool point_read = phase.point_read_fraction > 0.0 &&
-                            rng.Bernoulli(phase.point_read_fraction);
-          auto t0 = std::chrono::steady_clock::now();
-          Interval result =
-              point_read ? engine.PointRead(query.source_ids.front(),
-                                            query.constraint, now)
-                         : engine.ExecuteQuery(query, now);
-          auto t1 = std::chrono::steady_clock::now();
-          double us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count();
-          local.latency_us.Add(us);
-          local.stats.Add(us);
-          if (ViolatesConstraint(result, query.constraint)) {
-            ++local.violations;
-          }
-        }
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  auto wall_end = std::chrono::steady_clock::now();
-
-  if (updates_running) {
-    stop_updates.store(true, std::memory_order_relaxed);
-    updater.join();
-    engine.StopUpdatePump();  // closes the bus and drains the backlog
-  }
-
-  // With no updates the measured period is 0 ticks; CostRate() then
-  // reports 0 rather than pretending the whole run was one tick.
-  int64_t final_tick = clock.load(std::memory_order_relaxed);
-  engine.EndMeasurement(final_tick);
-
-  DriverReport report;
-  LatencySummary latency = Summarize(results);
-  report.violations = latency.violations;
+    }
+  };
   int64_t queries_per_thread = 0;
   for (const WorkloadPhase& phase : schedule) {
     queries_per_thread += phase.queries_per_thread;
   }
-  report.queries =
-      static_cast<int64_t>(config.num_threads) * queries_per_thread;
-  report.ticks = final_tick;
-  report.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  report.queries_per_second =
-      report.wall_seconds > 0.0
-          ? static_cast<double>(report.queries) / report.wall_seconds
-          : 0.0;
-  report.latency_mean_us = latency.mean_us;
-  report.latency_max_us = latency.max_us;
-  report.latency_p50_us = latency.p50_us;
-  report.latency_p95_us = latency.p95_us;
-  report.latency_p99_us = latency.p99_us;
+  DriverReport report;
+  RunClosedLoop(engine, config.num_threads,
+                config.num_threads * queries_per_thread, config.run_updates,
+                burst, worker, &report);
   report.costs = engine.TotalCosts();
   report.rejected_updates =
       engine.counters().rejected_updates.load(std::memory_order_relaxed);
@@ -310,108 +311,48 @@ TieredDriverReport RunTieredWorkload(TieredEngine& engine,
   for (int id = 0; id < config.num_sources; ++id) {
     if (!engine.Owns(id)) return TieredDriverReport{};
   }
-  const size_t num_threads = static_cast<size_t>(config.num_threads);
   const int num_edges = engine.num_edges();
   const int num_sources = config.num_sources;
 
-  engine.PopulateInitial(0);
-  engine.BeginMeasurement(0);
-
-  std::atomic<int64_t> clock{0};
-  std::atomic<bool> stop_updates{false};
-  std::thread updater;
-  bool updates_running = config.run_updates && config.update_burst > 0 &&
-                         engine.StartUpdatePump();
-  std::atomic<bool> first_burst_done{!updates_running};
-  if (updates_running) {
-    updater = std::thread([&] {
-      while (!stop_updates.load(std::memory_order_relaxed)) {
-        bool open = PushTickBurst(engine.bus(), clock, config.update_burst);
-        first_burst_done.store(true, std::memory_order_release);
-        if (!open) return;
-        std::this_thread::yield();
+  auto worker = [&](int ti, const std::atomic<int64_t>& clock,
+                    ThreadResult& local) {
+    uint64_t t = static_cast<uint64_t>(ti);
+    // A single-id "SUM" workload reuses the query generator's Zipf draw
+    // and constraint distribution for point reads: rank 0 is the hottest
+    // key before the per-edge rotation below.
+    QueryWorkloadParams workload;
+    workload.num_sources = num_sources;
+    workload.group_size = 1;
+    workload.zipf_s = config.zipf_s;
+    workload.constraints = config.constraints;
+    QueryGenerator gen(workload,
+                       config.seed ^ (0xA11CEULL + 0x9E3779B9ULL * t));
+    int64_t issued = 0;
+    for (int p = 0; p < config.num_phases; ++p) {
+      // Phase p: this thread's home edge rotates by one, so every hotspot
+      // lands on a different edge than the phase before.
+      int edge = (ti + p) % num_edges;
+      int hot_base = edge * num_sources / num_edges;
+      int64_t budget = config.queries_per_thread / config.num_phases;
+      if (p == config.num_phases - 1) {
+        budget = config.queries_per_thread - issued;
       }
-    });
-  }
-
-  std::vector<ThreadResult> results(num_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  auto wall_start = std::chrono::steady_clock::now();
-
-  for (int ti = 0; ti < config.num_threads; ++ti) {
-    workers.emplace_back([&, ti] {
-      AwaitFirstBurst(first_burst_done);
-      ThreadResult& local = results[static_cast<size_t>(ti)];
-      uint64_t t = static_cast<uint64_t>(ti);
-      // A single-id "SUM" workload reuses the query generator's Zipf draw
-      // and constraint distribution for point reads: rank 0 is the
-      // hottest key before the per-edge rotation below.
-      QueryWorkloadParams workload;
-      workload.num_sources = num_sources;
-      workload.group_size = 1;
-      workload.zipf_s = config.zipf_s;
-      workload.constraints = config.constraints;
-      QueryGenerator gen(workload,
-                         config.seed ^ (0xA11CEULL + 0x9E3779B9ULL * t));
-      int64_t issued = 0;
-      for (int p = 0; p < config.num_phases; ++p) {
-        // Phase p: this thread's home edge rotates by one, so every
-        // hotspot lands on a different edge than the phase before.
-        int edge = (ti + p) % num_edges;
-        int hot_base = edge * num_sources / num_edges;
-        int64_t budget = config.queries_per_thread / config.num_phases;
-        if (p == config.num_phases - 1) {
-          budget = config.queries_per_thread - issued;
-        }
-        Query query;
-        for (int64_t q = 0; q < budget; ++q, ++issued) {
-          gen.Next(&query);
-          int id = (hot_base + query.source_ids.front()) % num_sources;
-          int64_t now = clock.load(std::memory_order_relaxed);
-          auto t0 = std::chrono::steady_clock::now();
-          Interval result = engine.Read(edge, id, query.constraint, now);
-          auto t1 = std::chrono::steady_clock::now();
-          double us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count();
-          local.latency_us.Add(us);
-          local.stats.Add(us);
-          if (ViolatesConstraint(result, query.constraint)) {
-            ++local.violations;
-          }
-        }
+      Query query;
+      for (int64_t q = 0; q < budget; ++q, ++issued) {
+        gen.Next(&query);
+        int id = (hot_base + query.source_ids.front()) % num_sources;
+        int64_t now = clock.load(std::memory_order_relaxed);
+        TimedRead(local, query.constraint, [&] {
+          return engine.Read(edge, id, query.constraint, now);
+        });
       }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  auto wall_end = std::chrono::steady_clock::now();
-
-  if (updates_running) {
-    stop_updates.store(true, std::memory_order_relaxed);
-    updater.join();
-    engine.StopUpdatePump();  // closes the bus and drains the backlog
-  }
-
-  int64_t final_tick = clock.load(std::memory_order_relaxed);
-  engine.EndMeasurement(final_tick);
-
+    }
+  };
   TieredDriverReport report;
-  LatencySummary latency = Summarize(results);
-  report.violations = latency.violations;
-  report.queries = static_cast<int64_t>(config.num_threads) *
-                   config.queries_per_thread;
-  report.ticks = final_tick;
-  report.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  report.queries_per_second =
-      report.wall_seconds > 0.0
-          ? static_cast<double>(report.queries) / report.wall_seconds
-          : 0.0;
-  report.latency_mean_us = latency.mean_us;
-  report.latency_max_us = latency.max_us;
-  report.latency_p50_us = latency.p50_us;
-  report.latency_p95_us = latency.p95_us;
-  report.latency_p99_us = latency.p99_us;
+  RunClosedLoop(engine, config.num_threads,
+                config.num_threads * config.queries_per_thread,
+                config.run_updates && config.update_burst > 0,
+                [&] { return config.update_burst; }, worker, &report);
   const TieredCounters& counters = engine.counters();
   report.edge_hits = counters.edge_hits.load(std::memory_order_relaxed);
   report.regional_hits =

@@ -66,17 +66,6 @@ double ExactAnswer(const Trace& values, const Query& query, int64_t t) {
   return sum;
 }
 
-ReadLockMode ModeOf(int mode) {
-  switch (mode) {
-    case 1:
-      return ReadLockMode::kShared;
-    case 2:
-      return ReadLockMode::kExclusive;
-    default:
-      return ReadLockMode::kSeqlock;
-  }
-}
-
 /// The WAN cost model for kHotspotMigration runs: the flat baselines model
 /// a client reading sources across the wide-area link the tiered engine's
 /// regional tier refreshes over, so their charges are comparable to the
@@ -150,7 +139,6 @@ ScenarioMetrics RunAdaptiveSharded(const ScenarioScript& script,
       has_subs ? 1
                : std::max(1, std::min(options.num_shards, script.num_sources));
   config.seed = options.engine_seed;
-  config.read_lock_mode = ModeOf(options.read_lock_mode);
   config.subscription_hub_capacity = std::max<size_t>(
       1024, static_cast<size_t>(script.max_sub_slots) * 8);
   AdaptivePolicyParams policy;
@@ -292,7 +280,6 @@ ScenarioMetrics RunAdaptiveTiered(const ScenarioScript& script,
   TieredConfig config;
   config.num_edges = script.num_edges;
   config.num_shards = std::max(1, std::min(2, script.num_sources));
-  config.read_lock_mode = ModeOf(options.read_lock_mode);
   config.seed = options.engine_seed;
   TieredEngine engine(config, BuildTraceStreams(script.values));
   engine.PopulateInitial(0);

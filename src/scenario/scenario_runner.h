@@ -77,15 +77,12 @@ struct ScenarioMetrics {
 };
 
 /// Options of the replay harness. The defaults are the committed-bench
-/// configuration; tests override shards/read mode to widen coverage.
+/// configuration; tests override shards to widen coverage.
 struct ScenarioRunOptions {
   /// Shards of the flat engine. Thundering-herd runs force 1 regardless:
   /// with one shard each tick's dirty ids reach the notifier as ONE batch,
   /// which is what makes the notification stream deterministic.
   int num_shards = 4;
-  /// 0 = seqlock, 1 = shared, 2 = exclusive (mirrors ReadLockMode without
-  /// pulling the runtime header into every bench row).
-  int read_lock_mode = 0;
   uint64_t engine_seed = 1234;
   /// Fault injection for the self-checkers: shifts the exact ground truth
   /// every containment check compares against by this amount. 0 (the

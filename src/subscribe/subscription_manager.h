@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "query/aggregate.h"
-#include "subscribe/change_sink.h"
 #include "subscribe/notification_hub.h"
 #include "subscribe/subscription_table.h"
 #include "util/mutex.h"
@@ -40,8 +39,8 @@ class SubscriptionHost {
   virtual bool SubscriptionOwns(int id) const = 0;
 
   /// Watches (`watched` true) or releases each of `ids` on the write path:
-  /// a watched id's changes are handed to the change sink, an unwatched
-  /// id's changes only advance the sink's clock. The manager watches an id
+  /// a watched id's changes are handed to OnIntervalChanges, an unwatched
+  /// id's changes only advance the notifier's clock. The manager watches an id
   /// when its first standing query arrives — before the registration
   /// evaluation snapshots it, so no change can fall between snapshot and
   /// watch — and releases it when the last one leaves. Takes each id's
@@ -108,7 +107,7 @@ struct SubscriptionCounters {
 /// paper runs on, amortized across all subscribers instead of re-derived
 /// per polling client.
 ///
-/// Threading. OnIntervalChanges (the IntervalChangeSink side) only
+/// Threading. OnIntervalChanges (the engine-facing side) only
 /// enqueues — it is called under engine shard locks, and only for ids
 /// some subscription covers (the manager keeps the engine's per-id watch
 /// flags in step with the table's postings via SubscriptionWatch); a
@@ -117,15 +116,15 @@ struct SubscriptionCounters {
 /// per-subscription epoch order (all hub pushes happen under the manager
 /// mutex). A full hub therefore backpressures the notifier and the
 /// Subscribe/Reprecision APIs — the UpdateBus discipline on the push half.
-/// Lock order: manager mutex → engine shard locks; engines call the sink
-/// with shard locks held and the sink takes only the (leaf) pending-queue
-/// mutex, and only when a watched id changed.
-class SubscriptionManager : public IntervalChangeSink {
+/// Lock order: manager mutex → engine shard locks; the engine calls
+/// OnIntervalChanges with shard locks held and it takes only the (leaf)
+/// pending-queue mutex, and only when a watched id changed.
+class SubscriptionManager {
  public:
   /// `host` must outlive the manager. `hub_capacity` bounds the hub
   /// (clamped to >= 1).
   SubscriptionManager(SubscriptionHost* host, size_t hub_capacity);
-  ~SubscriptionManager() override;
+  ~SubscriptionManager();
 
   SubscriptionManager(const SubscriptionManager&) = delete;
   SubscriptionManager& operator=(const SubscriptionManager&) = delete;
@@ -158,10 +157,21 @@ class SubscriptionManager : public IntervalChangeSink {
 
   // -- the engine-facing hook ------------------------------------------
 
-  /// IntervalChangeSink: enqueue-only, called under engine shard locks.
-  /// Every call advances the notifier's clock to `now`; only a non-empty
-  /// `ids` takes the pending-queue mutex.
-  void OnIntervalChanges(const std::vector<int>& ids, int64_t now) override;
+  /// The consumer side of the protocol core's change-detection hook
+  /// (ProtocolTable::DrainDirtyIds): the engine drains the WATCHED ids
+  /// whose cached visible interval changed at logical time `now` and hands
+  /// them here. An empty `ids` reports changes to unwatched ids only: the
+  /// call advances the notifier's clock to `now` and takes no lock — that
+  /// is the write path's cost for every id no standing query covers; only
+  /// a non-empty `ids` takes the pending-queue mutex.
+  ///
+  /// Contract: the engine calls this WHILE it still holds the lock that
+  /// covered the mutation, so it only enqueues (never evaluates, never
+  /// calls back into the engine) — that is what makes "the change is
+  /// pending before the mutation is observable" hold, which the
+  /// no-missed-violation checker relies on. Thread-safe; blocks on nothing
+  /// beyond the short pending-queue mutex.
+  void OnIntervalChanges(const std::vector<int>& ids, int64_t now);
 
   // -- delivery and observability --------------------------------------
 
@@ -252,7 +262,7 @@ class SubscriptionManager : public IntervalChangeSink {
   // ones that must not take pending_mu_; not an observability tally.
   std::atomic<int64_t> pending_now_{0};
 
-  /// The change sink's lock. Rank kSinkPending: engines call the sink
+  /// OnIntervalChanges's lock. Rank kSinkPending: the engine calls it
   /// with shard locks held (kEngineShard/kEdgeShard -> kSinkPending), and
   /// nothing below it is acquired while it is held.
   Mutex pending_mu_{LockRank::kSinkPending, "subs.pending_mu"};

@@ -38,13 +38,13 @@ enum class LockRank : uint16_t {
   /// SubscriptionManager::mu_ — taken before engine shard locks
   /// (SubscriptionWatch / SubscriptionPull / snapshot evaluation).
   kSubscriptionManager = 20,
-  /// ShardedEngine's Shard::mu_ and TieredEngine's RegionalShard::mu —
-  /// one at a time, after the manager mutex, before edge locks.
+  /// The engine's origin Shard::mu — one at a time, after the manager
+  /// mutex, before edge locks.
   kEngineShard = 30,
-  /// TieredEngine's EdgeShard::mu — acquired under the regional lock on
-  /// escalation/fan-out (regional → edge, never the reverse).
+  /// The engine's EdgeShard::mu — acquired under the origin lock on
+  /// escalation/fan-out (origin → edge, never the reverse).
   kEdgeShard = 40,
-  /// SubscriptionManager::pending_mu_ — the leaf the change sink takes
+  /// SubscriptionManager::pending_mu_ — the leaf OnIntervalChanges takes
   /// under shard locks; nothing is acquired while holding it except the
   /// queue class below (shutdown drains).
   kSinkPending = 50,

@@ -68,8 +68,7 @@ std::int64_t CountAllocations(Body&& body) {
 
 TEST(AllocFreeReadTest, SteadyStateReadsAllocateNothing) {
   constexpr int kSources = 24;
-  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared,
-                            ReadLockMode::kExclusive}) {
+  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared}) {
     EngineConfig config;
     // Every shard gets a capacity slice covering the full population: ids
     // are hash-partitioned unevenly, so a merely-equal total capacity

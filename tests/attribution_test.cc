@@ -87,12 +87,11 @@ TEST(ReaderScopeTest, NestsAndRestores) {
 }
 #endif
 
-// The flat engine in all three read-lock modes: every mode's pull paths
-// (seqlock fast path, shared fallback, exclusive) must route their charges
-// through the same attribution sites.
+// The flat engine in both read-lock modes: every mode's pull paths
+// (seqlock fast path and fallback, shared acquisition) must route their
+// charges through the same attribution sites.
 TEST(AttributionTest, ShardedReconcilesWithCostTrackerInAllReadModes) {
-  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared,
-                            ReadLockMode::kExclusive}) {
+  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared}) {
     obs::AttributionTable attribution;
     EngineConfig config;
     config.num_shards = 4;

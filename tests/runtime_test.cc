@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -22,8 +20,7 @@ namespace {
 constexpr uint64_t kSeed = 2001;
 
 constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared,
-                                      ReadLockMode::kExclusive};
+                                      ReadLockMode::kShared};
 
 std::vector<std::unique_ptr<Source>> MakeSources(
     int n, const AdaptivePolicyParams& policy = AdaptivePolicyParams{}) {
@@ -52,20 +49,20 @@ TEST(ShardedEngineTest, PartitionCoversEverySourceExactlyOnce) {
   std::vector<size_t> counts = engine.ShardSourceCounts();
   ASSERT_EQ(counts.size(), 4u);
   size_t total = 0;
-  size_t capacity = 0;
   for (int s = 0; s < engine.num_shards(); ++s) {
     total += counts[static_cast<size_t>(s)];
-    capacity += engine.shard(s).CacheCapacity();
   }
   EXPECT_EQ(total, 64u);
   // Capacity slices sum exactly to χ.
-  EXPECT_EQ(capacity, 30u);
+  EXPECT_EQ(engine.regional_capacity(), 30u);
+  // Every id is owned, by the shard ShardOf names: each shard hosts
+  // exactly the ids routed to it.
+  std::vector<size_t> routed(counts.size(), 0);
   for (int id = 0; id < 64; ++id) {
-    int owner = engine.ShardOf(id);
-    for (int s = 0; s < engine.num_shards(); ++s) {
-      EXPECT_EQ(engine.shard(s).Owns(id), s == owner);
-    }
+    EXPECT_TRUE(engine.Owns(id));
+    ++routed[static_cast<size_t>(engine.ShardOf(id))];
   }
+  EXPECT_EQ(routed, counts);
 }
 
 // The acceptance bar for the runtime: a single-shard engine driven in
@@ -202,7 +199,7 @@ TEST(ShardedEngineTest, LockstepParityWithThresholdSnapping) {
 // Satellite: MAX/MIN candidate elimination under push-loss injection —
 // lost pushes leave stale cached intervals, so the elimination order (and
 // which shard-side runs it batches) is stressed far harder than under
-// reliable delivery. All three read modes must still match the sequential
+// reliable delivery. Both read modes must still match the sequential
 // system pull-for-pull.
 TEST(ShardedEngineTest, LockstepParityMaxMinUnderPushLoss) {
   SystemConfig sys_config;
@@ -335,7 +332,7 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   for (int64_t t = 1; t <= kTicks; ++t) {
     lockstep.TickAll(t);
     for (int id : kSingles) {
-      lockstep.shard(lockstep.ShardOf(id)).TickSource(id, t);
+      lockstep.TickSource(id, t);
     }
   }
   lockstep.EndMeasurement(kTicks);
@@ -363,9 +360,8 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   EXPECT_GT(lockstep.lost_pushes(), 0) << "loss draws must be exercised";
   EXPECT_EQ(bursts.MeanRawWidth(), lockstep.MeanRawWidth());
   for (int id = 0; id < kSources; ++id) {
-    const int s = lockstep.ShardOf(id);
-    EXPECT_EQ(bursts.shard(s).VisibleInterval(id, kTicks),
-              lockstep.shard(s).VisibleInterval(id, kTicks))
+    EXPECT_EQ(bursts.regional_interval(id, kTicks),
+              lockstep.regional_interval(id, kTicks))
         << "id " << id;
     EXPECT_EQ(bursts.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
   }
@@ -469,14 +465,9 @@ TEST(ShardedEngineTest, UnknownSourceIdUpdatesAreSkippedAndCounted) {
 
   EXPECT_EQ(engine.counters().rejected_updates.load(), 2);
   EXPECT_EQ(engine.counters().updates_applied.load(), 1);
-  int64_t per_shard_rejected = 0;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    per_shard_rejected += engine.shard(s).rejected_updates();
-  }
-  EXPECT_EQ(per_shard_rejected, 2);
 
   // The synchronous single-source path takes the same guard.
-  engine.shard(0).TickSource(777, 3);
+  engine.TickSource(777, 3);
   EXPECT_EQ(engine.counters().rejected_updates.load(), 3);
 }
 
@@ -598,66 +589,6 @@ TEST(ShardedEngineTest, InvalidConstraintsAreRejectedChargeFree) {
   EXPECT_EQ(engine.TotalCosts().query_refreshes, 0);
 }
 
-/// Change sink that parks the reporting thread until released. A shard
-/// reports changes while still holding its lock exclusively, so a parked
-/// TickAll keeps the shard locked.
-class ParkingSink : public IntervalChangeSink {
- public:
-  void OnIntervalChanges(const std::vector<int>& /*ids*/,
-                         int64_t /*now*/) override {
-    parked.store(true);
-    while (!released.load()) std::this_thread::yield();
-  }
-  std::atomic<bool> parked{false};
-  std::atomic<bool> released{false};
-};
-
-// A point read of an id the shard does not own, or with a NaN or negative
-// constraint, is rejected before any lock is taken, so a stream of bad
-// reads never queues behind the pump on the shard's exclusive lock. The
-// reads must return while a TickAll holds that lock, in every read mode.
-TEST(ShardTest, RejectedPointReadsDoNotWaitForTheShardLock) {
-  constexpr int kSources = 8;
-  for (ReadLockMode mode : kAllModes) {
-    RuntimeCounters counters;
-    SystemConfig system;
-    system.cache_capacity = kSources;
-    Shard shard(0, system, kSources, kSeed, &counters, mode);
-    for (auto& src : MakeSources(kSources)) {
-      ASSERT_TRUE(shard.AddSource(std::move(src)));
-    }
-    shard.PopulateInitial(0);
-    shard.BeginMeasurement(0);
-    ParkingSink sink;
-    shard.SetChangeSink(&sink);
-
-    // Every walk step (at least 0.5) escapes the initial width-1
-    // intervals, so tick 1 changes the cache and parks in the sink.
-    std::thread ticker([&] { shard.TickAll(1); });
-    while (!sink.parked.load()) std::this_thread::yield();
-    std::future<bool> reads = std::async(std::launch::async, [&] {
-      return shard.PointRead(/*id=*/999, /*max_width=*/1e12, /*now=*/1)
-                 .IsUnbounded() &&
-             shard.PointRead(/*id=*/0, std::nan(""), /*now=*/1)
-                 .IsUnbounded() &&
-             shard.PointRead(/*id=*/0, /*max_width=*/-1.0, /*now=*/1)
-                 .IsUnbounded();
-    });
-    bool returned =
-        reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
-    sink.released.store(true);
-    ticker.join();
-
-    ASSERT_TRUE(returned) << "a rejected read waited for the shard lock "
-                          << "in mode " << static_cast<int>(mode);
-    EXPECT_TRUE(reads.get());
-    EXPECT_EQ(counters.rejected_query_ids.load(), 1);
-    EXPECT_EQ(counters.rejected_constraints.load(), 2);
-    EXPECT_EQ(counters.query_refreshes.load(), 0);
-    EXPECT_EQ(shard.CostsSnapshot().query_refreshes(), 0) << "no charge";
-  }
-}
-
 // Tentpole property: snapshot readers (FillIntervals via ExecuteQuery,
 // plus the observability snapshots) keep making progress while a writer
 // cycles TickAll. With every value cached and constraints far wider than
@@ -701,7 +632,7 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
         int64_t now = ticks.load(std::memory_order_relaxed);
         Interval result = engine.ExecuteQuery(gen.Next(), now);
         ASSERT_LT(result.Width(), 1e7);
-        engine.shard(r).CostsSnapshot();
+        engine.TotalCosts();
         engine.MeanRawWidth();
         completed.fetch_add(1, std::memory_order_relaxed);
       }
@@ -719,8 +650,8 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
 
 // Direct (driver-less) races: raw ExecuteQuery and PointRead callers
 // against raw TickAll callers, exercising every read-lock mode's snapshot
-// path (seqlock validation + fallback, shared acquisition, exclusive
-// baseline) without any bus in between.
+// path (seqlock validation + fallback, shared acquisition) without any
+// bus in between.
 TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuaranteeInEveryMode) {
   constexpr int kSources = 32;
   for (ReadLockMode mode : kAllModes) {
@@ -807,7 +738,7 @@ TEST(ShardedEngineTest, InvalidPolicySourcesRejectedAtConstruction) {
 
   EXPECT_EQ(engine.num_sources(), 6u) << "the bad source must be dropped";
   EXPECT_EQ(engine.counters().rejected_sources.load(), 1);
-  EXPECT_FALSE(engine.shard(engine.ShardOf(100)).Owns(100));
+  EXPECT_FALSE(engine.Owns(100));
 }
 
 // Satellite: the malformed-input tallies reach the DriverReport (and from
@@ -825,7 +756,7 @@ TEST(ShardedEngineTest, DriverReportSurfacesRejectedCounts) {
   bad_sum.source_ids = {1, 999};
   bad_sum.constraint = 1e6;
   engine.ExecuteQuery(bad_sum, 0);        // 999 -> rejected_query_ids
-  engine.shard(0).TickSource(777, 0);     // 777 -> rejected_updates
+  engine.TickSource(777, 0);              // 777 -> rejected_updates
 
   DriverConfig driver;
   driver.num_threads = 1;

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/adaptive_policy.h"
 #include "data/random_walk.h"
 #include "hierarchy/hierarchy.h"
+#include "query/query_gen.h"
+#include "runtime/sharded_engine.h"
 #include "runtime/workload_driver.h"
 #include "util/rng.h"
 
@@ -20,8 +25,7 @@ namespace {
 constexpr uint64_t kSeed = 4001;
 
 constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared,
-                                      ReadLockMode::kExclusive};
+                                      ReadLockMode::kShared};
 
 HierarchyConfig SequentialConfig(int sources, int edges) {
   HierarchyConfig config;
@@ -518,6 +522,178 @@ TEST(TieredEngineTest, InvalidConstraintsAreRejectedChargeFree) {
   EXPECT_EQ(counters.rejected_constraints.load(), 2);
   EXPECT_EQ(counters.reads.load(),
             counters.edge_hits.load() + counters.rejected_constraints.load());
+}
+
+/// Shared flags of a ParkingStream: once `armed`, the stream's next
+/// Next() reports `parked` and spins until `released`.
+struct ParkingGate {
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+};
+
+/// A stream whose armed Next() parks the ticking thread — inside a
+/// TickAll's exclusive origin hold, since the stream-advance pass runs
+/// under it.
+class ParkingStream : public UpdateStream {
+ public:
+  explicit ParkingStream(ParkingGate* gate) : gate_(gate) {}
+  double Next() override {
+    if (gate_->armed.load()) {
+      gate_->parked.store(true);
+      while (!gate_->released.load()) std::this_thread::yield();
+    }
+    return value_ += 1.0;
+  }
+  double current() const override { return value_; }
+
+ private:
+  ParkingGate* gate_;
+  double value_ = 0.0;
+};
+
+// Reads that no interval can serve — an unowned id or edge, or a NaN or
+// negative constraint — are rejected before any lock, so a stream of bad
+// reads never queues behind the pump on a shard's exclusive lock. Every
+// entry point must return while a TickAll holds the origin shard, in
+// every read mode, charge-free, counting each rejection.
+TEST(TieredEngineTest, RejectedReadsDoNotWaitForTheShardLock) {
+  constexpr int kSources = 8;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (ReadLockMode mode : kAllModes) {
+    ParkingGate gate;
+    auto streams = WalkStreams(kSources, kSeed ^ 0xAA);
+    streams[0] = std::make_unique<ParkingStream>(&gate);
+    TieredConfig config = TieredFrom(SequentialConfig(kSources, 2),
+                                     /*num_shards=*/1, kSeed);
+    config.read_lock_mode = mode;
+    TieredEngine engine(config, std::move(streams));
+    engine.PopulateInitial(0);
+    engine.BeginMeasurement(0);
+
+    // One shard: every id, owned or not, routes to the parked shard.
+    gate.armed.store(true);
+    std::thread ticker([&] { engine.TickAll(1); });
+    while (!gate.parked.load()) std::this_thread::yield();
+    Query bad_query;
+    bad_query.kind = AggregateKind::kSum;
+    bad_query.source_ids = {1, 2};
+    bad_query.constraint = nan;
+    std::future<bool> reads = std::async(std::launch::async, [&] {
+      return engine.PointRead(/*id=*/999, /*max_width=*/1e12, 1)
+                 .IsUnbounded() &&
+             engine.PointRead(0, nan, 1).IsUnbounded() &&
+             engine.PointRead(0, -1.0, 1).IsUnbounded() &&
+             engine.ExecuteQuery(bad_query, 1).IsUnbounded() &&
+             engine.Read(/*edge=*/7, 0, 1e12, 1).IsUnbounded() &&
+             engine.Read(0, /*id=*/999, 1e12, 1).IsUnbounded() &&
+             engine.Read(0, 0, nan, 1).IsUnbounded();
+    });
+    bool returned =
+        reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    gate.released.store(true);
+    ticker.join();
+
+    ASSERT_TRUE(returned) << "a rejected read waited for the shard lock "
+                          << "in mode " << static_cast<int>(mode);
+    EXPECT_TRUE(reads.get());
+    const RuntimeCounters& counters = engine.counters();
+    EXPECT_EQ(counters.rejected_query_ids.load(), 1);
+    EXPECT_EQ(counters.rejected_constraints.load(), 4);
+    EXPECT_EQ(counters.rejected_reads.load(), 2);
+    EXPECT_EQ(counters.query_refreshes.load(), 0);
+    EXPECT_EQ(engine.WanCosts().query_refreshes, 0) << "no charge";
+    EXPECT_EQ(engine.LanCosts().query_refreshes, 0) << "no charge";
+  }
+}
+
+// The regional tier of a tiered topology answers the paper's aggregates
+// with its own refresh selection: it must behave exactly like a zero-edge
+// ShardedEngine over the same sources, policies, costs and capacity. The
+// edges only receive the fan-out of the regional tier's pulls.
+TEST(TieredEngineTest, RegionalTierMatchesZeroEdgeShardedEngine) {
+  constexpr int kSources = 24;
+  constexpr int kShards = 3;
+  constexpr size_t kCapacity = 18;  // evictions at the regional tier
+  constexpr int64_t kTicks = 200;
+  TieredConfig config = TieredFrom(SequentialConfig(kSources, 2), kShards,
+                                   kSeed);
+  config.regional_capacity = kCapacity;
+  // Narrow edges track the regional width, so a recentering pull escapes
+  // them and must fan out.
+  config.edge_policy.initial_width = 0.5;
+  ASSERT_TRUE(config.IsValid());
+  TieredEngine tiered(config, WalkStreams(kSources, kSeed ^ 0xBB));
+
+  // The twin's sources: the same walks, each carrying the regional tier's
+  // WAN-bound policy, seeded in the tiered engine's order (the regional
+  // policies come first, in id order).
+  const AdaptivePolicyParams policy =
+      BindTierCosts(config.regional_policy, config.wan);
+  Rng seeder(kSeed);
+  auto streams = WalkStreams(kSources, kSeed ^ 0xBB);
+  std::vector<std::unique_ptr<Source>> sources;
+  for (int id = 0; id < kSources; ++id) {
+    sources.push_back(std::make_unique<Source>(
+        id, std::move(streams[static_cast<size_t>(id)]),
+        std::make_unique<AdaptivePolicy>(policy, seeder.NextUint64())));
+  }
+  EngineConfig twin_config;
+  twin_config.system.costs = config.wan;
+  twin_config.system.cache_capacity = kCapacity;
+  twin_config.num_shards = kShards;
+  twin_config.seed = kSeed;
+  ShardedEngine twin(twin_config, std::move(sources));
+
+  tiered.PopulateInitial(0);
+  tiered.BeginMeasurement(0);
+  twin.PopulateInitial(0);
+  twin.BeginMeasurement(0);
+
+  QueryWorkloadParams workload;
+  workload.num_sources = kSources;
+  workload.group_size = 6;
+  workload.max_fraction = 0.25;
+  workload.min_fraction = 0.25;
+  workload.avg_fraction = 0.25;
+  QueryGenerator queries(workload, kSeed ^ 0xCC);
+  Rng point_reads(kSeed ^ 0xDD);
+  // Derived pushes shipped while the reads ran: only the regional pulls'
+  // fan-out produces them.
+  int64_t pull_fan_out = 0;
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    tiered.TickAll(t);
+    twin.TickAll(t);
+    const int64_t pushes_before = tiered.counters().derived_pushes.load();
+    const Query query = queries.Next();
+    ASSERT_EQ(tiered.ExecuteQuery(query, t), twin.ExecuteQuery(query, t))
+        << "aggregate diverged at tick " << t;
+    const int id = static_cast<int>(point_reads.UniformInt(0, kSources - 1));
+    const double width = point_reads.Uniform(0.0, 10.0);
+    ASSERT_EQ(tiered.PointRead(id, width, t), twin.PointRead(id, width, t))
+        << "point read diverged at tick " << t;
+    pull_fan_out += tiered.counters().derived_pushes.load() - pushes_before;
+    for (int i = 0; i < kSources; ++i) {
+      ASSERT_EQ(tiered.regional_interval(i, t), twin.regional_interval(i, t))
+          << "regional interval diverged at tick " << t << ", id " << i;
+      ASSERT_EQ(tiered.regional_raw_width(i), twin.regional_raw_width(i));
+      ASSERT_EQ(tiered.exact_value(i), twin.ExactValue(i));
+    }
+    ASSERT_TRUE(tiered.DerivedInvariantHolds(t)) << "tick " << t;
+  }
+  tiered.EndMeasurement(kTicks);
+  twin.EndMeasurement(kTicks);
+
+  EngineCosts wan = tiered.WanCosts();
+  EngineCosts flat = twin.TotalCosts();
+  EXPECT_EQ(wan.value_refreshes, flat.value_refreshes);
+  EXPECT_EQ(wan.query_refreshes, flat.query_refreshes);
+  EXPECT_EQ(wan.total_cost, flat.total_cost);
+  EXPECT_EQ(wan.measured_ticks, flat.measured_ticks);
+  EXPECT_GT(wan.query_refreshes, 0) << "weak setup: no regional pulls";
+  EXPECT_GT(tiered.LanCosts().value_refreshes, 0)
+      << "the regional tier's refreshes never fanned out";
+  EXPECT_GT(pull_fan_out, 0) << "the regional pulls never fanned out";
 }
 
 // The tiered workload driver: geo-skewed phase-shifting run completes,

@@ -62,29 +62,35 @@ TEST_F(TraceIoTest, LoadRaggedRowsIsCorruption) {
   std::remove(path.c_str());
 }
 
+// A field must be wholly one finite number: strtod alone would load
+// "nan" and the infinities as non-finite values, and "1.5abc" as 1.5.
 TEST_F(TraceIoTest, LoadNonNumericIsCorruption) {
   std::string path = TempPath("alpha.csv");
-  {
-    std::ofstream out(path);
-    out << "1,2\n3,abc\n";
+  for (const char* bad : {"abc", "nan", "inf", "-infinity", "1.5abc"}) {
+    {
+      std::ofstream out(path);
+      out << "1,2\n3," << bad << "\n";
+    }
+    auto r = LoadTraceCsv(path);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << bad;
+    EXPECT_NE(r.status().message().find("line 2"), std::string::npos) << bad;
   }
-  auto r = LoadTraceCsv(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
   std::remove(path.c_str());
 }
 
+// Blank lines are skipped, and a CRLF line end is trailing whitespace.
 TEST_F(TraceIoTest, SkipsBlankLines) {
   std::string path = TempPath("blank.csv");
   {
     std::ofstream out(path);
-    out << "1,2\n\n3,4\n";
+    out << "1,2\n\n3,4\r\n";
   }
   auto r = LoadTraceCsv(path);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().num_hosts(), 2u);
   EXPECT_EQ(r.value().duration(), 2u);
+  EXPECT_EQ(r.value().hosts[1][1], 4.0);
   std::remove(path.c_str());
 }
 

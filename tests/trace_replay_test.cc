@@ -149,8 +149,7 @@ TEST(TraceReplayTest, EngineReplayMatchesInAllReadModes) {
   RunLog reference;
   RecordReferenceRun(&trace, &reference);
 
-  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared,
-                            ReadLockMode::kExclusive}) {
+  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared}) {
     EngineConfig config;
     config.system.cache_capacity = kSources;
     config.num_shards = 1;
