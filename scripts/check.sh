@@ -65,8 +65,8 @@ CTEST_TIMEOUT=120
 # single-threaded by construction. Shared by the tsan and asan modes.
 # lock_order_test rides along: its death tests fork, which both sanitizers
 # support, and the validator's thread_local stacks deserve instrumented
-# coverage.
-CONCURRENCY_SUITES='^(runtime_test|tiered_engine_test|update_bus_test|workload_driver_test|notification_hub_test|subscription_test|obs_test|lock_order_test|scenario_test)$'
+# coverage. mutex_test covers the shard locks' try/yield/block acquisition.
+CONCURRENCY_SUITES='^(runtime_test|tiered_engine_test|update_bus_test|workload_driver_test|notification_hub_test|subscription_test|obs_test|lock_order_test|mutex_test|scenario_test)$'
 
 # Locates a clang-family tool by its plain then versioned names (CI images
 # often ship clang-NN only). Prints the tool or fails with guidance.

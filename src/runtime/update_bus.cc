@@ -57,9 +57,7 @@ bool UpdateBus::AcquireCredits(Ring& ring, int64_t n) {
   for (;;) {
     if (closed_.load(std::memory_order_acquire)) return false;
     if (TryAcquireCredits(ring, n)) return true;
-    // Timed wait: a notify can race the re-check (the consumer returns
-    // credits without the parking-lot lock), so never park unbounded.
-    not_full_.WaitFor(mu_, 1);
+    not_full_.Wait(mu_);
   }
 }
 
@@ -72,7 +70,7 @@ bool UpdateBus::AcquireBroadcastCredits(int64_t n, bool blocking) {
       for (size_t i = 0; i < r; ++i) {
         rings_[i].credits.fetch_add(n, std::memory_order_release);
       }
-      not_full_.NotifyAll();
+      Wake(not_full_);
       return false;
     }
   }
@@ -114,6 +112,9 @@ bool UpdateBus::PushRun(const UpdateEvent* events, size_t n, bool broadcast,
   }
   if (!acquired) {
     pending_pushes_.fetch_sub(1, std::memory_order_seq_cst);
+    // A consumer draining a closed bus waits for pending_pushes_ to reach
+    // zero, so a failed push wakes it as a publish does.
+    Wake(not_empty_);
     return false;
   }
   if (broadcast) {
@@ -131,7 +132,7 @@ bool UpdateBus::PushRun(const UpdateEvent* events, size_t n, bool broadcast,
     obs::TraceRecorder::Record(obs::TraceEvent::kBusEnqueue,
                                events[i].source_id, events[i].now, depth);
   }
-  not_empty_.NotifyOne();
+  Wake(not_empty_);
   return true;
 }
 
@@ -212,7 +213,7 @@ size_t UpdateBus::PopBatch(std::vector<UpdateEvent>* out, size_t max_batch,
       queue_depth_.Set(static_cast<int64_t>(size()));
       obs::TraceRecorder::Record(obs::TraceEvent::kBusDrainBatch, /*id=*/-1,
                                  out->back().now, static_cast<int64_t>(n));
-      not_full_.NotifyAll();
+      Wake(not_full_);
       return n;
     }
     if (closed_.load(std::memory_order_seq_cst) &&
@@ -232,20 +233,42 @@ size_t UpdateBus::PopBatch(std::vector<UpdateEvent>* out, size_t max_batch,
       continue;
     }
     MutexLock lock(mu_);
-    // Timed wait: producers notify without the parking-lot lock, so a
-    // notify can land between the scan and the wait; the timeout bounds
-    // that race to a millisecond.
-    not_empty_.WaitFor(mu_, 1);
+    // Re-check under the parking lot before waiting. Everything that can
+    // end this wait (a publish, a failed push at shutdown, Close) changes
+    // its state first and then visits mu_ to notify, so it either happened
+    // before this check and is seen here, or it finds this thread already
+    // waiting.
+    if (AnyPublished() ||
+        (closed_.load(std::memory_order_seq_cst) &&
+         pending_pushes_.load(std::memory_order_seq_cst) == 0)) {
+      continue;
+    }
+    not_empty_.Wait(mu_);
   }
+}
+
+bool UpdateBus::AnyPublished() const {
+  for (const Ring& ring : rings_) {
+    uint64_t head = ring.head.load(std::memory_order_relaxed);
+    if (ring.cells[head & ring.mask].seq.load(std::memory_order_acquire) ==
+        head + 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void UpdateBus::Wake(CondVar& cv) {
+  // The visit orders this notify after any waiter's locked re-check: the
+  // waiter either saw the new state or is already inside Wait.
+  { MutexLock lock(mu_); }
+  cv.NotifyAll();
 }
 
 void UpdateBus::Close() {
   closed_.store(true, std::memory_order_seq_cst);
-  // Take the parking lot once so no waiter can be between its closed_
-  // check and its wait when the notifications fire.
-  { MutexLock lock(mu_); }
-  not_full_.NotifyAll();
-  not_empty_.NotifyAll();
+  Wake(not_full_);
+  Wake(not_empty_);
 }
 
 size_t UpdateBus::size() const {

@@ -167,15 +167,22 @@ class UpdateBus {
   /// Drains the contiguous published prefix of one ring (up to max_batch).
   size_t DrainRing(Ring& ring, std::vector<UpdateEvent>* out,
                    size_t max_batch);
+  /// Consumer-only: whether some ring's head cell is published.
+  bool AnyPublished() const;
+  /// Visits mu_, then wakes every waiter on `cv`: the one way the bus
+  /// wakes a waiter (see mu_ below). not_empty_ has one waiter at most.
+  void Wake(CondVar& cv);
 
   const size_t capacity_;  // logical per-ring bound
   std::deque<Ring> rings_;
   size_t next_ring_ = 0;  // consumer-only round-robin cursor
 
   /// Parking lot only: producers with no credits and the idle consumer
-  /// wait here (timed, so a missed notify costs a millisecond, never a
-  /// hang). The queue state itself is lock-free (rank kQueue — taken with
-  /// no other lock held, never before an engine lock).
+  /// wait here, untimed. A waiter re-checks the lock-free state under mu_
+  /// before each wait, and every state change that can end a wait visits
+  /// mu_ before it notifies, so no wake-up is lost. The queue state itself
+  /// is lock-free (rank kQueue — taken with no other lock held, never
+  /// before an engine lock).
   mutable Mutex mu_{LockRank::kQueue, "bus.mu"};
   CondVar not_full_;
   CondVar not_empty_;

@@ -103,8 +103,8 @@ class LockOrderValidator {
   static size_t HeldDepth();
 };
 
-#else  // !APC_LOCK_ORDER: every hook is an empty inline — release builds
-       // keep lock acquisition exactly as cheap as the raw primitive.
+#else  // !APC_LOCK_ORDER: every hook is an empty inline — the validator
+       // adds nothing to a lock acquisition in release builds.
 
 class LockOrderValidator {
  public:

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
+#include <thread>
 
 #include "util/lock_order.h"
 #include "util/thread_annotations.h"
@@ -20,6 +21,8 @@
 /// acquisition. Each wrapper is the std primitive plus (a) the capability
 /// attribute and (b) validator calls that compile to nothing when
 /// APC_LOCK_ORDER=0 (release builds) — see src/util/lock_order.h.
+/// SharedMutex adds one thing: it yields for a bounded time before it
+/// blocks (see kSharedMutexYieldBudget).
 ///
 /// Every mutex names its lock class at construction:
 ///     apc::Mutex mu_{LockRank::kQueue, "bus.mu"};
@@ -27,6 +30,15 @@
 /// lock-class rank" a compile-time property.
 
 namespace apc {
+
+/// How long a SharedMutex waiter keeps retrying with yields before it
+/// blocks. Under the perfbench workloads on a 4-vCPU host the pump's
+/// per-shard hold is p50/p90 10/16 us (point_hot), 22/31 us (tiered_geo)
+/// and 4/10 us (burst_write), and a futex wake-up took 17-36 us: a budget
+/// that covers a typical hold lets most waiters take the lock within
+/// microseconds of its release instead of one wake-up later, and a longer
+/// hold costs a parked waiter at most this much extra CPU.
+inline constexpr std::chrono::microseconds kSharedMutexYieldBudget{20};
 
 /// std::mutex as a clang capability with lock-order validation.
 class APC_CAPABILITY("mutex") Mutex {
@@ -60,6 +72,16 @@ class APC_CAPABILITY("mutex") Mutex {
 /// Shared and exclusive acquisitions obey the same rank order (the
 /// validator does not distinguish modes: reader/writer nesting across
 /// classes follows one partial order).
+///
+/// Its users are the engine's shard locks (Shard::mu, EdgeShard::mu): the
+/// update pump holds one exclusively for a whole shard burst while pulls,
+/// escalations and aggregate pull batches queue behind it, and a waiter
+/// that blocked at once would sleep through a futex wake-up longer than
+/// most holds. So both modes try once, retry with a yield between
+/// attempts until kSharedMutexYieldBudget has passed, and only then block.
+/// Yields, not a pause spin: spinners keep the holder and the notifier off
+/// the CPUs they need. The validator runs first, so an inversion aborts
+/// before any retry; nothing on this path allocates.
 class APC_CAPABILITY("shared_mutex") SharedMutex {
  public:
   explicit SharedMutex(LockRank rank, const char* name = nullptr)
@@ -69,6 +91,7 @@ class APC_CAPABILITY("shared_mutex") SharedMutex {
 
   void lock() APC_ACQUIRE() {
     LockOrderValidator::OnAcquire(rank_, name_);
+    if (RetryWithYield([this] { return mu_.try_lock(); })) return;
     mu_.lock();
   }
   void unlock() APC_RELEASE() {
@@ -77,6 +100,7 @@ class APC_CAPABILITY("shared_mutex") SharedMutex {
   }
   void lock_shared() APC_ACQUIRE_SHARED() {
     LockOrderValidator::OnAcquire(rank_, name_);
+    if (RetryWithYield([this] { return mu_.try_lock_shared(); })) return;
     mu_.lock_shared();
   }
   void unlock_shared() APC_RELEASE_SHARED() {
@@ -87,6 +111,22 @@ class APC_CAPABILITY("shared_mutex") SharedMutex {
   LockRank rank() const { return rank_; }
 
  private:
+  /// Tries `try_acquire` once, then again after each yield until the
+  /// budget has passed; false means the caller should block. Bounded by
+  /// elapsed time, not attempts: one yield takes anywhere from a fraction
+  /// of a microsecond to a scheduler slice.
+  template <typename TryAcquire>
+  static bool RetryWithYield(TryAcquire try_acquire) {
+    if (try_acquire()) return true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + kSharedMutexYieldBudget;
+    do {
+      std::this_thread::yield();  // sched_yield() on Linux
+      if (try_acquire()) return true;
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  }
+
   std::shared_mutex mu_;
   const LockRank rank_;
   const char* const name_;

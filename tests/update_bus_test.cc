@@ -218,5 +218,53 @@ TEST(UpdateBusTest, MultiRingCloseDrainsBacklogThenReturnsZero) {
   EXPECT_EQ(bus.total_pushed(), 2);
 }
 
+// The bus's waits are untimed, so a lost wake-up is a hang, and ctest's
+// timeout fails the suite. A single-event ping-pong makes every round trip
+// a hand-off to a consumer blocked in PopBatch, on both buses. The race a
+// missing re-check or mu_ visit opens is a few instructions wide, so these
+// runs hit it only now and then; what they pin every time is the hand-off.
+TEST(UpdateBusTest, PingPongWakesAConsumerBlockedInPopBatch) {
+  constexpr int kRoundTrips = 20000;
+  UpdateBus ping(1);
+  UpdateBus pong(1);
+  std::thread echo([&] {
+    std::vector<UpdateEvent> batch;
+    while (ping.PopBatch(&batch, 1) == 1) {
+      if (!pong.Push(batch.front())) break;
+    }
+    pong.Close();
+  });
+  std::vector<UpdateEvent> batch;
+  int completed = 0;
+  while (completed < kRoundTrips && ping.Push({completed, 0}) &&
+         pong.PopBatch(&batch, 1) == 1 && batch.front().now == completed) {
+    ++completed;
+  }
+  ping.Close();
+  echo.join();
+  EXPECT_EQ(completed, kRoundTrips);
+}
+
+// The credit side of the same hand-off: a one-slot ring is full after
+// every push, so the producer waits for credits on nearly every event and
+// only the consumer's credit return can wake it.
+TEST(UpdateBusTest, PingPongWakesAProducerParkedOnAFullRing) {
+  constexpr int kEvents = 20000;
+  UpdateBus bus(1);
+  std::thread producer([&] {
+    for (int i = 0; i < kEvents && bus.Push({i, 0}); ++i) {
+    }
+  });
+  std::vector<UpdateEvent> batch;
+  int received = 0;
+  while (received < kEvents && bus.PopBatch(&batch, 1) == 1 &&
+         batch.front().now == received) {
+    ++received;
+  }
+  bus.Close();
+  producer.join();
+  EXPECT_EQ(received, kEvents);
+}
+
 }  // namespace
 }  // namespace apc
