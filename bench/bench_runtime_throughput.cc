@@ -411,8 +411,7 @@ int main(int argc, char** argv) {
     // The pump under real load: an update-heavy driver run, then the
     // bus.drain_batch_size histogram lifted from the obs registry — the
     // committed evidence that the pump drains multi-event bursts per shard
-    // lock acquisition rather than one event at a time. (Zeros under
-    // APC_OBS=0 builds.)
+    // lock acquisition rather than one event at a time.
     EngineConfig config;
     config.num_shards = 8;
     config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;

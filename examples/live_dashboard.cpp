@@ -170,17 +170,15 @@ int main(int argc, char** argv) {
   // 6. WHO cost that: the attribution table names the sensors driving the
   //    bill — refresh counts split value- vs query-initiated, the Cqr side
   //    further split by reader (ad-hoc query vs standing subscription),
-  //    and the latest shipped bound width. Empty under -DAPC_OBS=0.
+  //    and the latest shipped bound width.
   std::vector<obs::AttributionTable::SourceStats> by_cost =
       attribution.Snapshot();
-  if (by_cost.size() > 1) {  // guard keeps the obs-off stub path sort-free
-    std::sort(by_cost.begin(), by_cost.end(),
-              [](const obs::AttributionTable::SourceStats& a,
-                 const obs::AttributionTable::SourceStats& b) {
-                return a.value_cost + a.query_cost >
-                       b.value_cost + b.query_cost;
-              });
-  }
+  std::sort(by_cost.begin(), by_cost.end(),
+            [](const obs::AttributionTable::SourceStats& a,
+               const obs::AttributionTable::SourceStats& b) {
+              return a.value_cost + a.query_cost >
+                     b.value_cost + b.query_cost;
+            });
   std::printf("\ntop refreshers (cost = Cvr + Cqr side):\n");
   for (size_t i = 0; i < by_cost.size() && i < 5; ++i) {
     const obs::AttributionTable::SourceStats& s = by_cost[i];
@@ -196,9 +194,7 @@ int main(int argc, char** argv) {
   }
 
   // 7. The run's full registry snapshot — attribution section included —
-  //    serialized the way a scrape endpoint would hand it out (under
-  //    -DAPC_OBS=0 this prints a stub document and the sidebar above reads
-  //    all zeros — the dashboard itself is unchanged).
+  //    serialized the way a scrape endpoint would hand it out.
   obs::SnapshotExporter exporter(&engine.metrics());
   exporter.AttachAttribution(&attribution);
   std::printf("\nfinal metrics export:\n%s\n", exporter.ToJson().c_str());

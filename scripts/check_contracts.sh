@@ -8,8 +8,8 @@
 #                lock guards) outside src/util/ — everything locks through
 #                the annotated, rank-checked apc::Mutex wrappers.
 #   raw-atomic   no raw std::atomic members in headers outside src/obs/ —
-#                tallies go through obs::Counter/ObsCounter so the
-#                APC_OBS gate and the striping discipline apply.
+#                tallies go through obs::Counter so the striping
+#                discipline applies.
 #   banned       no std::recursive_mutex (rank-equal reacquisition is a
 #                deadlock candidate the validator would hide) and no
 #                detached threads (every thread joins at shutdown; the
@@ -85,7 +85,7 @@ lint_tree() {
           /std::atomic</ {
             if (!waived) print FILENAME ":" FNR ": " $0
           }' "$f"); [[ -n "$out" ]]; then
-          echo "contracts-lint: raw std::atomic member in a non-obs header (use obs::Counter/ObsCounter, or waive with a reason):"
+          echo "contracts-lint: raw std::atomic member in a non-obs header (use obs::Counter, or waive with a reason):"
           echo "$out" | sed 's/^/  /'
           fail=1
         fi

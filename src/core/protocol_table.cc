@@ -11,7 +11,6 @@ const ProtocolEntry* EntryStore::Find(int id) const {
   uint32_t index = IndexOf(id);
   const Record* record = index == kNoSlot ? nullptr : &records_[index];
   bool hit = record != nullptr && record->cached_pos != kNotCached;
-  NoteSlotProbe(hit);
   return hit ? &record->entry : nullptr;
 }
 
@@ -61,9 +60,6 @@ EntryStore::OfferResult EntryStore::OfferEx(int id, const CachedApprox& approx,
     // Unpublished before the offered slot is published, so no reader sees
     // both cached at once.
     WriteSlot(slab_[evicted.index], CachedApprox{}, /*cached=*/false);
-#if APC_CACHE_INSTRUMENT
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-#endif
   }
   if (index == kNoSlot) index = AddIndex(id, /*bare=*/true);
   Record& record = records_[index];
@@ -193,11 +189,9 @@ SnapshotRead EntryStore::TryVisibleInterval(int id, int64_t now,
   // Only a validated copy is materialized: a torn {lo, hi} pair could
   // violate lo <= hi and must never reach the Interval constructor.
   if (!cached) {
-    NoteSlotProbe(/*hit=*/false);
     *out = Interval::Unbounded();
     return SnapshotRead::kMiss;
   }
-  NoteSlotProbe(/*hit=*/true);
   CachedApprox approx;
   approx.base = Interval(lo, hi);
   approx.refresh_time = refresh_time;

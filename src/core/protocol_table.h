@@ -188,49 +188,6 @@ class EntryStore {
   /// the unbounded interval; on kTorn it is unspecified.
   SnapshotRead TryVisibleInterval(int id, int64_t now, Interval* out) const;
 
-  // -- compile-gated cache instrumentation ------------------------------
-  // -DAPC_CACHE_INSTRUMENT=ON tallies hits/misses (Find and, via
-  // NoteSlotProbe, the owners' lock-free slot reads) and evictions. OFF —
-  // the default — removes the members and every increment: the accessors
-  // collapse to constant 0 and NoteSlotProbe to an empty inline, so probe
-  // sites compile identically in both modes at true zero cost when off
-  // (scripts/check.sh --obs builds both modes and asserts the split).
-
-  /// True when this build carries the counters (constant per build mode).
-  static constexpr bool cache_instrumented() {
-#if APC_CACHE_INSTRUMENT
-    return true;
-#else
-    return false;
-#endif
-  }
-
-#if APC_CACHE_INSTRUMENT
-  /// Lookups that found a cached entry (Find hits + reported slot hits).
-  int64_t cache_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  /// Lookups that found nothing cached.
-  int64_t cache_misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// Entries evicted by the widest-out rule to admit a narrower offer.
-  int64_t cache_evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  /// Owners report the outcome of a validated lock-free slot read here so
-  /// the optimistic path participates in the hit/miss tallies; callable
-  /// from any thread (relaxed atomics), torn reads are not reported.
-  void NoteSlotProbe(bool hit) const {
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  }
-#else
-  int64_t cache_hits() const { return 0; }
-  int64_t cache_misses() const { return 0; }
-  int64_t cache_evictions() const { return 0; }
-  void NoteSlotProbe(bool) const {}
-#endif
-
  private:
   /// Ids below this use the dense id→index vector (grown to max id + 1, 4
   /// bytes per id); ids at or above it — and negative ids — use the sparse
@@ -293,15 +250,6 @@ class EntryStore {
   size_t slab_capacity_ = 0;
   std::vector<uint32_t> dense_index_;               // id -> index
   std::unordered_map<int, uint32_t> sparse_index_;  // negative / huge ids
-
-#if APC_CACHE_INSTRUMENT
-  // contracts-lint: allow(raw-atomic) -- compile-gated instrumentation
-  // tallies, bumped from const readers (shared lock or the lock-free slot
-  // path); relaxed counts, not a synchronization protocol.
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-#endif
 };
 
 /// Outcome of a value-initiated protocol step, so engines can maintain

@@ -5,8 +5,6 @@
 namespace apc {
 namespace obs {
 
-#if APC_OBS
-
 namespace {
 
 size_t StripeIndex(int id) {
@@ -124,8 +122,6 @@ AttributionTable::Totals AttributionTable::TotalsSnapshot() const {
   }
   return totals;
 }
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

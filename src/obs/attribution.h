@@ -17,13 +17,12 @@
 //
 // Locking: 16 striped mutexes (rank kObsAttribution, a leaf above every
 // engine/queue lock), one stripe per id hash; snapshots visit one stripe
-// at a time. Under APC_OBS=0 the whole layer is a no-op.
+// at a time.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"  // the APC_OBS default
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -36,8 +35,6 @@ enum class ReaderKind : uint8_t {
   kQuery = 1,       // aggregate query / point read
   kSubscription = 2,  // standing-query evaluation or escalation
 };
-
-#if APC_OBS
 
 namespace internal {
 struct ReaderTag {
@@ -155,57 +152,6 @@ class AttributionTable {
 
   Stripe stripes_[kStripes];
 };
-
-#else  // !APC_OBS
-
-class ReaderScope {
- public:
-  ReaderScope(ReaderKind, int64_t) {}
-  ReaderScope(const ReaderScope&) = delete;
-  ReaderScope& operator=(const ReaderScope&) = delete;
-  static ReaderKind current_kind() { return ReaderKind::kNone; }
-  static int64_t current_id() { return -1; }
-};
-
-class AttributionTable {
- public:
-  static constexpr size_t kHistory = 32;
-  struct WidthPoint {
-    int64_t now = 0;
-    double width = 0.0;
-  };
-  struct SourceStats {
-    int id = -1;
-    int64_t value_refreshes = 0;
-    int64_t query_refreshes = 0;
-    int64_t query_reader_refreshes = 0;
-    int64_t subscription_reader_refreshes = 0;
-    int64_t unattributed_query_refreshes = 0;
-    double value_cost = 0.0;
-    double query_cost = 0.0;
-    double last_width = 0.0;
-    int64_t last_now = 0;
-    std::vector<WidthPoint> width_history;
-  };
-  struct Totals {
-    int64_t value_refreshes = 0;
-    int64_t query_refreshes = 0;
-    int64_t query_reader_refreshes = 0;
-    int64_t subscription_reader_refreshes = 0;
-    int64_t unattributed_query_refreshes = 0;
-    double value_cost = 0.0;
-    double query_cost = 0.0;
-  };
-  AttributionTable() = default;
-  AttributionTable(const AttributionTable&) = delete;
-  AttributionTable& operator=(const AttributionTable&) = delete;
-  void RecordValueRefresh(int, double, double, int64_t) {}
-  void RecordQueryRefresh(int, double, double, int64_t) {}
-  std::vector<SourceStats> Snapshot() const { return {}; }
-  Totals TotalsSnapshot() const { return Totals{}; }
-};
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

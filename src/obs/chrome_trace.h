@@ -12,9 +12,8 @@
 // which preserves exact global ordering and nesting. Span identity
 // (op/span/parent), the source id, and the logical tick ride in args.
 //
-// Pure functions of the record vector: both compile and run identically
-// under APC_OBS=0 (where DumpTrace is always empty, yielding the valid
-// empty document).
+// Pure functions of the record vector; an empty vector yields the valid
+// empty document.
 
 #include <string>
 #include <vector>

@@ -50,7 +50,6 @@ std::string RenderNum(double value) {
   return buf;
 }
 
-#if APC_OBS
 /// The "attribution" section: per-source charge splits plus the summed
 /// totals, from one AttributionTable snapshot (consistent per source).
 std::string RenderAttribution(const AttributionTable& attribution) {
@@ -98,7 +97,6 @@ std::string RenderAttribution(const AttributionTable& attribution) {
   out += "\n  }";
   return out;
 }
-#endif  // APC_OBS
 
 }  // namespace
 
@@ -110,7 +108,9 @@ SnapshotExporter::~SnapshotExporter() { Stop(); }
 std::string SnapshotExporter::ToJson() const {
   std::string out = "{\n";
   out += "  \"schema\": \"apcache-obs-v1\",\n";
-  out += std::string("  \"obs_enabled\": ") + (APC_OBS ? "1" : "0");
+  // Constant since the layer is always compiled in; kept so the
+  // apcache-obs-v1 document keeps its shape.
+  out += "  \"obs_enabled\": 1";
   MetricsRegistry::Snapshot snap = registry_->TakeSnapshot();
   out += ",\n  \"counters\": {";
   for (size_t i = 0; i < snap.counters.size(); ++i) {
@@ -150,9 +150,7 @@ std::string SnapshotExporter::ToJson() const {
     out += "]}";
   }
   out += snap.histograms.empty() ? "}" : "\n  }";
-#if APC_OBS
   if (attribution_ != nullptr) out += RenderAttribution(*attribution_);
-#endif
   out += "\n}";
   return out;
 }
@@ -169,7 +167,6 @@ bool SnapshotExporter::WriteFile(const std::string& path) const {
 
 void SnapshotExporter::StartBackground(const std::string& path,
                                        int64_t interval_ms) {
-#if APC_OBS
   MutexLock lock(mu_);
   if (running_) return;
   path_ = path;
@@ -177,10 +174,6 @@ void SnapshotExporter::StartBackground(const std::string& path,
   stop_ = false;
   running_ = true;
   worker_ = std::thread([this] { BackgroundLoop(); });
-#else
-  (void)path;
-  (void)interval_ms;
-#endif
 }
 
 void SnapshotExporter::Stop() {

@@ -10,9 +10,6 @@
 // Consistency contract: every serialized histogram's "count" equals the
 // sum of its serialized bins (the snapshot derives one from the other), and
 // all values in one document come from a single TakeSnapshot pass.
-//
-// Under APC_OBS=0 the document is a stub ("obs_enabled": 0, no metrics)
-// and the background thread never starts.
 
 #include <cstdint>
 #include <string>
@@ -40,8 +37,8 @@ class SnapshotExporter {
   /// detaches): every subsequent document carries an "attribution" section
   /// with the per-source Cvr/Cqr splits, reader buckets, and width
   /// time-series. Attach before concurrent use (StartBackground); the
-  /// table must outlive the exporter. Without an attachment — and under
-  /// APC_OBS=0 — the section is absent, which apcache-obs-v1 permits.
+  /// table must outlive the exporter. Without an attachment the section
+  /// is absent, which apcache-obs-v1 permits.
   void AttachAttribution(const AttributionTable* attribution) {
     attribution_ = attribution;
   }
@@ -53,7 +50,7 @@ class SnapshotExporter {
   bool WriteFile(const std::string& path) const;
 
   /// Starts a background thread rewriting `path` every `interval_ms`
-  /// (clamped to >= 1). No-op if already running or under APC_OBS=0.
+  /// (clamped to >= 1). No-op if already running.
   void StartBackground(const std::string& path, int64_t interval_ms);
 
   /// Stops the background thread (idempotent; called by the destructor).

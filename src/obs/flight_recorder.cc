@@ -12,8 +12,6 @@
 namespace apc {
 namespace obs {
 
-#if APC_OBS
-
 namespace {
 
 struct State {
@@ -160,8 +158,6 @@ void FlightRecorder::NoteRejectedInput(const char* what, int32_t id,
   reason += ")";
   DumpOnFailure(reason);
 }
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

@@ -22,8 +22,6 @@
 // the dump test uses), approximate under full concurrency. A thread_local
 // guard makes it safe to call from the lock-order abort hook even when the
 // dump itself re-enters the validator.
-//
-// Under APC_OBS=0 everything here is a no-op and DumpOnFailure returns "".
 
 #include <cstdint>
 #include <string>
@@ -32,8 +30,6 @@
 
 namespace apc {
 namespace obs {
-
-#if APC_OBS
 
 class FlightRecorder {
  public:
@@ -74,22 +70,6 @@ class FlightRecorder {
   /// kStormThreshold-th note while armed dumps once with a storm reason.
   static void NoteRejectedInput(const char* what, int32_t id, int64_t now);
 };
-
-#else  // !APC_OBS
-
-class FlightRecorder {
- public:
-  static constexpr int64_t kStormThreshold = 64;
-  static void Arm(size_t = 1 << 14, TraceLevel = TraceLevel::kFlight) {}
-  static void Disarm() {}
-  static bool armed() { return false; }
-  static void SetDumpDir(const std::string&) {}
-  static std::string DumpOnFailure(const std::string&) { return ""; }
-  static std::string last_dump_path() { return ""; }
-  static void NoteRejectedInput(const char*, int32_t, int64_t) {}
-};
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

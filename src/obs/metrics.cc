@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#if APC_OBS
-
 #include <algorithm>
 #include <cmath>
 
@@ -164,5 +162,3 @@ int64_t MetricsRegistry::Snapshot::HistogramCount(
 
 }  // namespace obs
 }  // namespace apc
-
-#endif  // APC_OBS

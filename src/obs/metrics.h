@@ -5,18 +5,9 @@
 // gauges, and log-spaced histograms with striped relaxed-atomic storage —
 // hot-path increments touch one cache line private to a stripe and are
 // merged on read — plus a registry that hands out consistent named
-// snapshots for the exporter and the benches.
-//
-// Compile-time gate (MAGPIE-style): `cmake -DAPC_OBS=0` compiles gauges,
-// histograms, and the registry down to no-ops. Counter is the one
-// deliberate exception — it backs the engines' protocol-semantic tallies
-// (RuntimeCounters, TieredCounters, SubscriptionCounters), whose accessor
-// values tier-1 tests assert, so under APC_OBS=0 it degrades to a single
-// plain relaxed atomic instead of vanishing. ObsCounter is the
-// observability-only variant that does vanish.
-#ifndef APC_OBS
-#define APC_OBS 1
-#endif
+// snapshots for the exporter and the benches. Counter also backs the
+// engines' protocol-semantic tallies (RuntimeCounters, TieredCounters,
+// SubscriptionCounters), whose accessor values tier-1 tests assert.
 
 #include <atomic>
 #include <cstdint>
@@ -30,8 +21,6 @@
 
 namespace apc {
 namespace obs {
-
-#if APC_OBS
 
 namespace internal {
 /// Slow path of ThreadStripeIndex: allocates the next dense index. Called
@@ -91,12 +80,6 @@ class Counter {
   };
   Stripe stripes_[kStripes];
 };
-
-/// Observability-only counter: same surface as Counter, but compiled to a
-/// true no-op under APC_OBS=0 (loads read 0). Use for rates nothing in the
-/// protocol semantics depends on — seqlock retry tallies, bus traffic,
-/// per-link loss breakdowns.
-using ObsCounter = Counter;
 
 /// Point-in-time level (queue depth, in-flight batch size). Last writer
 /// wins; no striping — gauges are set under the owner's existing locks.
@@ -201,97 +184,6 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, const HistogramMetric*>> histograms_
       APC_GUARDED_BY(mu_);
 };
-
-#else  // !APC_OBS ------------------------------------------------------
-
-/// APC_OBS=0: the protocol-semantic counter stays functional as one plain
-/// relaxed atomic (tier-1 asserts its accessor values), everything else
-/// compiles to empty bodies the optimizer erases.
-class Counter {
- public:
-  Counter() = default;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void fetch_add(int64_t n,
-                 std::memory_order order = std::memory_order_relaxed) {
-    v_.fetch_add(n, order);
-  }
-  int64_t load(std::memory_order order = std::memory_order_relaxed) const {
-    return v_.load(order);
-  }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
-
-class ObsCounter {
- public:
-  ObsCounter() = default;
-  ObsCounter(const ObsCounter&) = delete;
-  ObsCounter& operator=(const ObsCounter&) = delete;
-  void fetch_add(int64_t, std::memory_order = std::memory_order_relaxed) {}
-  int64_t load(std::memory_order = std::memory_order_relaxed) const {
-    return 0;
-  }
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class HistogramMetric {
- public:
-  HistogramMetric(double, double, int) {}
-  HistogramMetric(const HistogramMetric&) = delete;
-  HistogramMetric& operator=(const HistogramMetric&) = delete;
-  void Record(double) {}
-  struct Snapshot {
-    std::vector<double> edges;
-    std::vector<int64_t> counts;
-    int64_t total = 0;
-    double Quantile(double) const { return 0.0; }
-  };
-  Snapshot TakeSnapshot() const { return Snapshot{}; }
-  int64_t Count() const { return 0; }
-  double Quantile(double) const { return 0.0; }
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-  void RegisterCounter(const std::string&, const Counter*) {}
-  void RegisterCounter(const std::string&, const ObsCounter*) {}
-  void RegisterGauge(const std::string&, const Gauge*) {}
-  void RegisterHistogram(const std::string&, const HistogramMetric*) {}
-
-  struct HistogramEntry {
-    std::string name;
-    HistogramMetric::Snapshot data;
-  };
-  struct Snapshot {
-    std::vector<std::pair<std::string, int64_t>> counters;
-    std::vector<std::pair<std::string, int64_t>> gauges;
-    std::vector<HistogramEntry> histograms;
-    int64_t CounterValue(const std::string&) const { return 0; }
-    int64_t GaugeValue(const std::string&) const { return 0; }
-    double HistogramQuantile(const std::string&, double) const {
-      return 0.0;
-    }
-    int64_t HistogramCount(const std::string&) const { return 0; }
-  };
-  Snapshot TakeSnapshot() const { return Snapshot{}; }
-};
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

@@ -70,8 +70,6 @@ const char* SpanKindName(SpanKind kind) {
   return "unknown";
 }
 
-#if APC_OBS
-
 namespace {
 
 /// One thread's ring: written by its owner only (no synchronization — the
@@ -100,9 +98,17 @@ Registry& GlobalRegistry() {
   return *registry;
 }
 
-std::atomic<uint64_t> g_seq{0};
+/// A counter alone on its cache line. Every record bumps g_seq and every
+/// root span g_op, on every recording thread; sharing a line with the
+/// level byte or g_generation, which every trace site and record reads,
+/// cost each thread a coherence miss per site whenever another thread
+/// recorded.
+struct alignas(64) LineCounter {
+  std::atomic<uint64_t> value{0};
+};
+LineCounter g_seq;
 /// Operation (span tree) ids; 0 is reserved for "no operation".
-std::atomic<uint64_t> g_op{0};
+LineCounter g_op;
 /// Bumped by Enable/Reset so cached thread_local ring pointers from a
 /// previous generation are re-registered instead of dangling.
 std::atomic<uint64_t> g_generation{0};
@@ -140,7 +146,7 @@ void TraceRecorder::Enable(size_t ring_capacity, TraceLevel level) {
     registry.ring_capacity = ring_capacity < 1 ? 1 : ring_capacity;
     registry.next_tid = 0;
   }
-  g_seq.store(0, std::memory_order_relaxed);
+  g_seq.value.store(0, std::memory_order_relaxed);
   g_generation.fetch_add(1, std::memory_order_release);
   internal::g_trace_level.store(static_cast<uint8_t>(level),
                                 std::memory_order_release);
@@ -168,7 +174,7 @@ void TraceRecorder::RecordImpl(TraceEvent event, int32_t id, int64_t now,
   }
   const internal::TraceContext& ctx = internal::t_trace_context;
   TraceRecord& slot = ring->slots[ring->head];
-  slot.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
+  slot.seq = g_seq.value.fetch_add(1, std::memory_order_relaxed);
   slot.op = ctx.op;
   slot.now = now;
   slot.arg = arg;
@@ -212,7 +218,7 @@ void TraceRecorder::Reset() {
     registry.rings.clear();
     registry.next_tid = 0;
   }
-  g_seq.store(0, std::memory_order_relaxed);
+  g_seq.value.store(0, std::memory_order_relaxed);
   g_generation.fetch_add(1, std::memory_order_release);
 }
 
@@ -231,7 +237,7 @@ void TraceScope::Enter() {
   saved_parent_ = ctx.parent;
   if (ctx.op == 0) {
     // Root of a new operation tree. +1 keeps 0 reserved.
-    ctx.op = g_op.fetch_add(1, std::memory_order_relaxed) + 1;
+    ctx.op = g_op.value.fetch_add(1, std::memory_order_relaxed) + 1;
     ctx.next_span = 1;
     ctx.span = 1;
     ctx.parent = 0;
@@ -256,8 +262,6 @@ void TraceScope::Exit() {
   ctx.span = saved_span_;
   ctx.parent = saved_parent_;
 }
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

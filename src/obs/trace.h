@@ -15,17 +15,16 @@
 //
 // Levels (the cost dial):
 //   kOff    — default. Record is one relaxed byte load and a branch.
-//   kFlight — the flight-recorder setting: low-frequency lifecycle events
-//             only (retries, fallbacks, escalations, bus/offer/notify and
-//             their spans). Per-read records — kReadStart and the
-//             kPointRead/kQuery/kTieredRead spans — are skipped, which is
-//             what keeps an armed flight recorder inside the BENCH_obs
-//             ≤5% overhead gate on the seqlock hot row.
+//   kFlight — the flight-recorder setting: control-plane events only
+//             (retries, fallbacks, drain batches, charged-lost pushes,
+//             notify decisions, rejections, and the tick and notify
+//             spans). Everything that happens per read or per refresh —
+//             kReadStart, the read roots, escalation hops, source pulls
+//             and fan-outs — is skipped, which is what keeps an armed
+//             flight recorder inside the BENCH_obs ≤5% overhead gate.
 //   kFull   — everything, including one record + one span per read. The
 //             on-demand debugging mode; its cost is persisted in
 //             BENCH_obs.json as "steady_traced" but not gated.
-//
-// Under APC_OBS=0 the whole recorder is nothing at all.
 //
 // DumpTrace/Reset are QUIESCED-ONLY: callers must ensure no thread is
 // concurrently recording (join or otherwise synchronize with the workload
@@ -35,7 +34,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"  // the APC_OBS default
+#include "obs/metrics.h"
 
 namespace apc {
 namespace obs {
@@ -50,8 +49,8 @@ enum class TraceEvent : uint8_t {
   kReadStart,         // id = source, arg = read-lock mode (kFull only)
   kSeqlockRetry,      // id = source whose optimistic read tore
   kSharedFallback,    // id = source (or -1 for a batch), arg = torn count
-  kEscalateRegional,  // id = source escalating edge -> regional
-  kEscalateSource,    // id = source escalating regional -> source pull
+  kEscalateRegional,  // id = source escalating edge -> regional (kFull)
+  kEscalateSource,    // id = source escalating regional -> source (kFull)
   kBusEnqueue,        // id = source, arg = depth after enqueue (kFull only)
   kBusDrainBatch,     // id = -1, arg = batch size
   kOfferApplied,      // id = refreshed source (kFull only)
@@ -64,10 +63,11 @@ enum class TraceEvent : uint8_t {
 };
 
 /// The span taxonomy: every node in an operation's tree is one of these
-/// (carried in the arg of kSpanBegin/kSpanEnd). The per-read roots and
-/// the per-charged-refresh kSourcePull run at data-plane frequency and
-/// record at kFull only; the rest are low-frequency control-plane spans
-/// and record at kFlight.
+/// (carried in the arg of kSpanBegin/kSpanEnd). The per-read roots, the
+/// escalation hops, kSourcePull and kFanOut run at data-plane frequency
+/// (a third of the edge reads of a tiered_geo-shaped workload escalate)
+/// and record at kFull only; kTick and the notify spans run once per
+/// shard burst or evaluation and record at kFlight.
 enum class SpanKind : uint8_t {
   kPointRead = 0,   // TieredEngine::PointRead (root), id = source
   kQuery,           // TieredEngine::ExecuteQuery (root), id = -1
@@ -90,23 +90,25 @@ const char* SpanKindName(SpanKind kind);
 /// Record folds to a constant compare for the (universal) constant-event
 /// call sites: the kOff cost stays one relaxed byte load and one branch.
 /// kFlight is the armed-flight-recorder level, so it keeps only the
-/// control-plane evidence (escalations, drain batches, loss, notify
-/// decisions, rejections) and drops the per-operation data plane — one
-/// record per read (kReadStart) and per streamed update
+/// control-plane evidence (retries, fallbacks, drain batches, loss,
+/// notify decisions, rejections) and drops the per-operation data plane —
+/// records per read (kReadStart, escalations) and per streamed update
 /// (kBusEnqueue/kOfferApplied) — whose volume is what the ≤5% overhead
 /// bound cannot absorb.
 constexpr TraceLevel MinLevel(TraceEvent event) {
   return (event == TraceEvent::kReadStart ||
+          event == TraceEvent::kEscalateRegional ||
+          event == TraceEvent::kEscalateSource ||
           event == TraceEvent::kBusEnqueue ||
           event == TraceEvent::kOfferApplied)
              ? TraceLevel::kFull
              : TraceLevel::kFlight;
 }
 constexpr TraceLevel MinLevel(SpanKind kind) {
-  return (kind == SpanKind::kPointRead || kind == SpanKind::kQuery ||
-          kind == SpanKind::kTieredRead || kind == SpanKind::kSourcePull)
-             ? TraceLevel::kFull
-             : TraceLevel::kFlight;
+  return (kind == SpanKind::kTick || kind == SpanKind::kNotifyBatch ||
+          kind == SpanKind::kNotifyEval)
+             ? TraceLevel::kFlight
+             : TraceLevel::kFull;
 }
 
 struct TraceRecord {
@@ -120,8 +122,6 @@ struct TraceRecord {
   uint32_t tid = 0;  // recorder-assigned thread index
   TraceEvent event = TraceEvent::kReadStart;
 };
-
-#if APC_OBS
 
 namespace internal {
 /// The process-wide recording level. Lives in the header as a C++17 inline
@@ -195,8 +195,8 @@ class TraceRecorder {
 /// kSpanBegin, and stamps every Record made inside with (op, span,
 /// parent); leaving records kSpanEnd and restores the enclosing node.
 /// Inert — no records, no context mutation — when the live level is below
-/// the kind's MinLevel, so a skipped per-read root at kFlight simply makes
-/// its low-frequency children roots of their own.
+/// the kind's MinLevel, so at kFlight the retries and fallbacks inside a
+/// skipped per-read root record as point events of their own.
 class TraceScope {
  public:
   TraceScope(SpanKind kind, int32_t id, int64_t now)
@@ -225,31 +225,6 @@ class TraceScope {
   uint32_t saved_span_ = 0;
   uint32_t saved_parent_ = 0;
 };
-
-#else  // !APC_OBS
-
-class TraceRecorder {
- public:
-  static void Enable(size_t = 4096, TraceLevel = TraceLevel::kFull) {}
-  static void Disable() {}
-  static bool enabled() { return false; }
-  static TraceLevel level() { return TraceLevel::kOff; }
-  static void SetLevel(TraceLevel) {}
-  static void Record(TraceEvent, int32_t, int64_t, int64_t = 0) {}
-  static std::vector<TraceRecord> DumpTrace() { return {}; }
-  static void Reset() {}
-  static int64_t dropped() { return 0; }
-  static void RegisterMetrics(MetricsRegistry*) {}
-};
-
-class TraceScope {
- public:
-  TraceScope(SpanKind, int32_t, int64_t) {}
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-};
-
-#endif  // APC_OBS
 
 }  // namespace obs
 }  // namespace apc

@@ -37,10 +37,8 @@ enum class ReadLockMode {
 /// Engine-wide tallies kept in lock-free counters so monitoring threads can
 /// observe totals without taking any shard lock. The engine bumps these
 /// alongside its (mutex-guarded) CostTrackers; after a quiescent point the
-/// two views agree exactly. The fields are obs::Counter — striped under
-/// APC_OBS=1, a single plain atomic under APC_OBS=0 — so the .load() /
-/// .fetch_add() accessor surface (and the exact-total guarantee) is
-/// identical in both builds.
+/// two views agree exactly. The fields are striped obs::Counters with the
+/// std::atomic .load() / .fetch_add() surface.
 struct RuntimeCounters {
   // -- the origin tier (every engine) -----------------------------------
   /// Value-initiated origin refreshes, charged whether or not delivered.
@@ -89,16 +87,16 @@ struct RuntimeCounters {
   /// Edge reads naming an edge or id the engine does not host.
   obs::Counter rejected_reads;
 
-  /// Observability-only tallies (no-ops under APC_OBS=0): seqlock reads
+  /// Observability-only tallies: seqlock reads
   /// that tore against a racing refresh, the shared-lock acquisitions
   /// taken to settle them, and the charged-but-lost pushes per link —
   /// source -> regional (WAN) and regional -> edge (LAN). At quiescence
   /// the loss tallies equal the exact lock-summed
   /// lost_wan_pushes()/lost_lan_pushes() accessors.
-  obs::ObsCounter seqlock_retries;
-  obs::ObsCounter shared_fallbacks;
-  obs::ObsCounter lost_wan_pushes;
-  obs::ObsCounter lost_lan_pushes;
+  obs::Counter seqlock_retries;
+  obs::Counter shared_fallbacks;
+  obs::Counter lost_wan_pushes;
+  obs::Counter lost_lan_pushes;
 
   /// Registers every field with `registry` under "<prefix>." names (the
   /// seqlock pair under "read."). Non-owning; this struct must outlive the

@@ -253,7 +253,7 @@ class TieredEngine {
   /// The engine's metrics registry: every RuntimeCounters tally, the
   /// update bus, and the subscription layer ("subs.") registered at
   /// construction, under the facade's prefixes ("tiered." and
-  /// "tiered.bus." here). Under APC_OBS=0 snapshots are empty.
+  /// "tiered.bus." here).
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 

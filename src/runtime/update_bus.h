@@ -114,8 +114,7 @@ class UpdateBus {
   /// Registers this bus's traffic metrics with `registry` under
   /// "<prefix>." names: enqueued/drained/drain_batches counters, a
   /// queue_depth gauge, and a drain_batch_size histogram. Non-owning; call
-  /// during engine construction, before concurrent use. All no-ops under
-  /// APC_OBS=0.
+  /// during engine construction, before concurrent use.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix);
 
@@ -199,9 +198,9 @@ class UpdateBus {
   // Observability (read lock-free by snapshots). `enqueued_` counts
   // accepted events once (a broadcast is one event); `drained_` counts
   // per-ring deliveries, so with broadcasts drained >= enqueued.
-  obs::ObsCounter enqueued_;
-  obs::ObsCounter drained_;
-  obs::ObsCounter drain_batches_;
+  obs::Counter enqueued_;
+  obs::Counter drained_;
+  obs::Counter drain_batches_;
   obs::Gauge queue_depth_;
   obs::HistogramMetric drain_batch_size_{1.0, 4096.0, 24};
 };

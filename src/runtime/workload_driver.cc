@@ -470,11 +470,11 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   auto wall_start = std::chrono::steady_clock::now();
 
   // Subscriber threads drain the hub for the whole run; they exit when the
-  // hub closes at shutdown. Delivery lag histograms are per-thread and
-  // merged at the end; registration answers (epoch 1) are not change
-  // deliveries and stay out of the lag statistics.
+  // hub closes at shutdown. Lag percentiles come from the registry's
+  // delivery-lag histogram and the mean from per-thread stats merged at the
+  // end; registration answers (epoch 1) are not change deliveries and stay
+  // out of the lag statistics.
   const size_t num_consumers = static_cast<size_t>(config.subscriber_threads);
-  std::vector<Histogram> lag(num_consumers, Histogram(0.0, 4096.0, 256));
   std::vector<SummaryStats> lag_stats(num_consumers);
   std::vector<std::thread> consumers;
   for (size_t ci = 0; ci < num_consumers; ++ci) {
@@ -498,7 +498,6 @@ SubscriptionDriverReport RunSubscriptionWorkload(
             double ticks_late = static_cast<double>(
                 clock.load(std::memory_order_relaxed) - record.now);
             if (ticks_late < 0.0) ticks_late = 0.0;
-            lag[ci].Add(ticks_late);
             lag_stats[ci].Add(ticks_late);
             engine.subscriptions().RecordDeliveryLag(ticks_late);
           }
@@ -636,29 +635,14 @@ SubscriptionDriverReport RunSubscriptionWorkload(
       report.wall_seconds > 0.0
           ? static_cast<double>(report.notifications) / report.wall_seconds
           : 0.0;
-  Histogram merged_lag(0.0, 4096.0, 256);
   SummaryStats merged_stats;
-  for (size_t ci = 0; ci < num_consumers; ++ci) {
-    merged_lag.Merge(lag[ci]);
-    merged_stats.Merge(lag_stats[ci]);
-  }
+  for (const SummaryStats& stats : lag_stats) merged_stats.Merge(stats);
   report.delivery_lag_ticks_mean = merged_stats.mean();
-  report.delivery_lag_ticks_p99 = merged_lag.Quantile(0.99);
-  // Percentiles come from the registry's delivery-lag histogram (fed by
-  // the consumer threads above) when the obs layer is compiled in; under
-  // APC_OBS=0 the histogram is a no-op and the driver's own merged
-  // histogram fills them instead.
-  const obs::HistogramMetric& reg_lag =
-      engine.subscriptions().delivery_lag_histogram();
-  if (reg_lag.Count() > 0) {
-    obs::HistogramMetric::Snapshot reg_snap = reg_lag.TakeSnapshot();
-    report.delivery_lag_ticks_p50 = reg_snap.Quantile(0.50);
-    report.delivery_lag_ticks_p90 = reg_snap.Quantile(0.90);
-    report.delivery_lag_ticks_p99 = reg_snap.Quantile(0.99);
-  } else {
-    report.delivery_lag_ticks_p50 = merged_lag.Quantile(0.50);
-    report.delivery_lag_ticks_p90 = merged_lag.Quantile(0.90);
-  }
+  obs::HistogramMetric::Snapshot lag =
+      engine.subscriptions().delivery_lag_histogram().TakeSnapshot();
+  report.delivery_lag_ticks_p50 = lag.Quantile(0.50);
+  report.delivery_lag_ticks_p90 = lag.Quantile(0.90);
+  report.delivery_lag_ticks_p99 = lag.Quantile(0.99);
   report.costs = engine.TotalCosts();
   const RefreshCosts& link = config.engine.system.costs;
   report.client_push_cost =

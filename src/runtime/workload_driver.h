@@ -259,14 +259,13 @@ struct SubscriptionDriverReport {
   double wall_seconds = 0.0;
   double notifications_per_second = 0.0;
   /// Delivery lag in logical ticks (drain-time clock − answer compute
-  /// tick) over change-driven notifications.
+  /// tick) over change-driven notifications. The mean is exact; the
+  /// percentiles come from the engine's metrics registry histogram
+  /// ("subs.delivery_lag_ticks", fed by the subscriber threads through
+  /// SubscriptionManager::RecordDeliveryLag) and read 0 when nothing was
+  /// delivered.
   double delivery_lag_ticks_mean = 0.0;
   double delivery_lag_ticks_p99 = 0.0;
-  /// Lag percentiles from the engine's metrics registry histogram
-  /// ("subs.delivery_lag_ticks", fed by the subscriber threads through
-  /// SubscriptionManager::RecordDeliveryLag). Falls back to the driver's
-  /// own merged histogram under APC_OBS=0, so the fields are populated in
-  /// both builds.
   double delivery_lag_ticks_p50 = 0.0;
   double delivery_lag_ticks_p90 = 0.0;
   /// Engine-side Cvr/Cqr over the measured period (subscription run).

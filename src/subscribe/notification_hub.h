@@ -84,7 +84,7 @@ class NotificationHub {
 
   /// Registers this hub's traffic metrics with `registry` under
   /// "<prefix>." names: enqueued/drained counters and a queue_depth gauge.
-  /// Non-owning; call before concurrent use. No-ops under APC_OBS=0.
+  /// Non-owning; call before concurrent use.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix);
 
@@ -101,8 +101,8 @@ class NotificationHub {
   int64_t total_pushed_ APC_GUARDED_BY(mu_) = 0;
 
   // Observability (updated under mu_, read lock-free by snapshots).
-  obs::ObsCounter enqueued_;
-  obs::ObsCounter drained_;
+  obs::Counter enqueued_;
+  obs::Counter drained_;
   obs::Gauge queue_depth_;
 };
 

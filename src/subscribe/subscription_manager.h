@@ -50,10 +50,8 @@ class SubscriptionHost {
                                  bool watched) = 0;
 };
 
-/// Tallies observable without the manager's mutex. The fields are
-/// obs::Counter — striped under APC_OBS=1, a single plain atomic under
-/// APC_OBS=0 — so the .load()/.fetch_add() surface and the exact-total
-/// guarantee are identical in both builds.
+/// Tallies observable without the manager's mutex. The fields are striped
+/// obs::Counters, exact at any quiescent point.
 struct SubscriptionCounters {
   /// Notifications queued into the hub (including registration answers).
   obs::Counter notifications;
@@ -182,12 +180,12 @@ class SubscriptionManager {
   /// Registers the subscription tallies (under "subs."), the delivery-lag
   /// histogram ("subs.delivery_lag_ticks"), and the hub's traffic metrics
   /// ("subs.hub.") with `registry`. Non-owning; call during engine
-  /// construction. No-ops under APC_OBS=0.
+  /// construction.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   /// Records one delivered notification's lag (drain-time tick minus the
   /// record's compute tick) into the delivery-lag histogram. Called by
-  /// subscriber/drainer threads; lock-free, no-op under APC_OBS=0.
+  /// subscriber/drainer threads; lock-free.
   void RecordDeliveryLag(double ticks) { delivery_lag_ticks_.Record(ticks); }
   const obs::HistogramMetric& delivery_lag_histogram() const {
     return delivery_lag_ticks_;

@@ -13,7 +13,7 @@
 /// rank already held by the thread, and a violation aborts after printing
 /// the held stack plus the offending acquisition.
 ///
-/// Compile gate (the APC_OBS discipline): APC_LOCK_ORDER=1 in debug and
+/// Compile gate: APC_LOCK_ORDER=1 in debug and
 /// sanitizer builds — CMake defaults it ON for every build type except
 /// Release — and 0 in release, where every hook below compiles to an empty
 /// inline function and apc::Mutex is exactly a std::mutex plus a dead

@@ -3,7 +3,6 @@
 // construction, with measurement started at tick 0, mirrors the engines'
 // CostTracker tallies BIT FOR BIT in every read mode, splits Cqr charges
 // by the ambient reader, and keeps a bounded per-source width history.
-// Under APC_OBS=0 the table is a no-op, asserted explicitly.
 #include "obs/attribution.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +31,6 @@ obs::AttributionTable::Totals BucketChecked(
   return totals;
 }
 
-#if APC_OBS
 // Per-source tallies must sum to the totals, and the width history must be
 // a bounded, time-ordered series.
 void CheckSnapshotInvariants(const obs::AttributionTable& table,
@@ -85,7 +83,6 @@ TEST(ReaderScopeTest, NestsAndRestores) {
   }
   EXPECT_EQ(obs::ReaderScope::current_kind(), obs::ReaderKind::kNone);
 }
-#endif
 
 // The flat engine in both read-lock modes: every mode's pull paths
 // (seqlock fast path and fallback, shared acquisition) must route their
@@ -123,7 +120,6 @@ TEST(AttributionTest, ShardedReconcilesWithCostTrackerInAllReadModes) {
     ASSERT_GT(costs.query_refreshes, 0);
 
     obs::AttributionTable::Totals totals = BucketChecked(attribution);
-#if APC_OBS
     // Bit-for-bit: same counts, and the same cvr/cqr doubles summed.
     EXPECT_EQ(totals.value_refreshes, costs.value_refreshes);
     EXPECT_EQ(totals.query_refreshes, costs.query_refreshes);
@@ -133,11 +129,6 @@ TEST(AttributionTest, ShardedReconcilesWithCostTrackerInAllReadModes) {
     EXPECT_EQ(totals.subscription_reader_refreshes, 0);
     EXPECT_EQ(totals.unattributed_query_refreshes, 0);
     CheckSnapshotInvariants(attribution, 60);
-#else
-    EXPECT_EQ(totals.value_refreshes, 0);
-    EXPECT_EQ(totals.query_refreshes, 0);
-    EXPECT_TRUE(attribution.Snapshot().empty());
-#endif
   }
 }
 
@@ -171,15 +162,11 @@ TEST(AttributionTest, SubscriptionEscalationsLandInSubscriptionBucket) {
   ASSERT_GT(costs.value_refreshes, 0);  // the workload really refreshed
 
   obs::AttributionTable::Totals totals = BucketChecked(attribution);
-#if APC_OBS
   EXPECT_GT(totals.subscription_reader_refreshes, 0);
   EXPECT_EQ(totals.query_reader_refreshes, 0);  // no ad-hoc reads issued
   EXPECT_EQ(totals.value_refreshes, costs.value_refreshes);
   EXPECT_EQ(totals.query_refreshes, costs.query_refreshes);
   EXPECT_EQ(totals.value_cost + totals.query_cost, costs.total_cost);
-#else
-  EXPECT_EQ(totals.subscription_reader_refreshes, 0);
-#endif
 }
 
 // The tiered engine merges WAN and LAN charges of one id into the same
@@ -214,7 +201,6 @@ TEST(AttributionTest, TieredReconcilesAcrossWanAndLanWithLoss) {
   ASSERT_GT(wan.query_refreshes + lan.query_refreshes, 0);
 
   obs::AttributionTable::Totals totals = BucketChecked(attribution);
-#if APC_OBS
   EXPECT_EQ(totals.value_refreshes,
             wan.value_refreshes + lan.value_refreshes);
   EXPECT_EQ(totals.query_refreshes,
@@ -223,10 +209,6 @@ TEST(AttributionTest, TieredReconcilesAcrossWanAndLanWithLoss) {
             wan.total_cost + lan.total_cost);
   EXPECT_EQ(totals.query_reader_refreshes, totals.query_refreshes);
   CheckSnapshotInvariants(attribution, 60);
-#else
-  EXPECT_EQ(totals.query_refreshes, 0);
-  EXPECT_TRUE(attribution.Snapshot().empty());
-#endif
 }
 
 }  // namespace

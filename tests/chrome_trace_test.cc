@@ -1,9 +1,7 @@
 // ChromeTraceExporter: dumped TraceRecord streams render as Chrome
 // trace-event JSON (Perfetto / chrome://tracing). ToJson is a pure
-// function of the record vector, so the golden tests below run
-// identically in BOTH obs modes; the live-capture tests assert the real
-// recorder + engine pipeline under APC_OBS and the valid-empty-document
-// contract under APC_OBS=0.
+// function of the record vector; the golden tests below pin its output,
+// and the live-capture test asserts the real recorder + engine pipeline.
 #include "obs/chrome_trace.h"
 
 #include <gtest/gtest.h>
@@ -129,8 +127,7 @@ TEST(ChromeTraceTest, WriteFileEmitsDocumentWithTrailingNewline) {
 }
 
 // End-to-end: a real engine workload captured at kFull exports a document
-// carrying the per-read root spans and their instant children. Under
-// APC_OBS=0 the same pipeline yields the valid empty document.
+// carrying the per-read root spans and their instant children.
 TEST(ChromeTraceTest, LiveCaptureExportsReadSpans) {
   obs::TraceRecorder::Reset();
   obs::TraceRecorder::Enable(/*ring_capacity=*/1 << 14,
@@ -156,15 +153,11 @@ TEST(ChromeTraceTest, LiveCaptureExportsReadSpans) {
   std::string json =
       obs::ChromeTraceExporter::ToJson(obs::TraceRecorder::DumpTrace());
   obs::TraceRecorder::Reset();
-#if APC_OBS
   EXPECT_NE(json.find("\"name\":\"point_read\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos);
   // Exact pulls nest under their read root: at least one span names a
   // nonzero parent.
   EXPECT_NE(json.find("\"name\":\"source_pull\""), std::string::npos);
-#else
-  EXPECT_EQ(json, "{\"traceEvents\":[\n\n]}");
-#endif
 }
 
 }  // namespace

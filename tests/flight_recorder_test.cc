@@ -3,8 +3,7 @@
 // inject_containment_skew fault hook) and asserts the dump file exists,
 // is seq-ordered, reports the drop counter, and carries a COMPLETE span
 // tree — every span closed, every parent link resolvable. The storm test
-// drives NoteRejectedInput across the threshold. Everything degrades to
-// a no-op under APC_OBS=0, asserted explicitly.
+// drives NoteRejectedInput across the threshold.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 namespace apc {
 namespace {
 
-#if APC_OBS
 std::string ReadWholeFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return "";
@@ -80,7 +78,6 @@ bool HeaderHas(const std::vector<std::string>& header,
   }
   return false;
 }
-#endif  // APC_OBS
 
 // A forced checker failure while armed must produce a dump whose events
 // are seq-ordered and whose span layer forms complete trees: every
@@ -114,7 +111,6 @@ TEST(FlightRecorderTest, CheckerFailureDumpsOrderedCompleteSpanTree) {
 
   std::string path = obs::FlightRecorder::last_dump_path();
   obs::FlightRecorder::Disarm();
-#if APC_OBS
   ASSERT_FALSE(path.empty());
   std::string contents = ReadWholeFile(path);
   ASSERT_FALSE(contents.empty());
@@ -167,12 +163,6 @@ TEST(FlightRecorderTest, CheckerFailureDumpsOrderedCompleteSpanTree) {
           << rec.op;
     }
   }
-#else
-  // Stubs: arming is a no-op, no dump is ever produced.
-  EXPECT_TRUE(path.empty());
-  EXPECT_FALSE(obs::FlightRecorder::armed());
-  EXPECT_EQ(obs::FlightRecorder::DumpOnFailure("x"), "");
-#endif
   obs::TraceRecorder::Reset();
 }
 
@@ -181,10 +171,8 @@ TEST(FlightRecorderTest, DumpOnFailureRequiresArming) {
   EXPECT_FALSE(obs::FlightRecorder::armed());
   EXPECT_EQ(obs::FlightRecorder::DumpOnFailure("not armed"), "");
   obs::FlightRecorder::Arm(1 << 10);
-#if APC_OBS
   EXPECT_TRUE(obs::FlightRecorder::armed());
   EXPECT_EQ(obs::TraceRecorder::level(), obs::TraceLevel::kFlight);
-#endif
   obs::FlightRecorder::Disarm();
   EXPECT_FALSE(obs::FlightRecorder::armed());
   obs::TraceRecorder::Reset();
@@ -203,7 +191,6 @@ TEST(FlightRecorderTest, RejectedInputStormDumpsOnce) {
   }
   std::string path = obs::FlightRecorder::last_dump_path();
   obs::FlightRecorder::Disarm();
-#if APC_OBS
   // The process-wide rejection tally crossed exactly one multiple of the
   // threshold during the loop, so exactly one fresh dump appeared.
   ASSERT_FALSE(path.empty());
@@ -213,9 +200,6 @@ TEST(FlightRecorderTest, RejectedInputStormDumpsOnce) {
   EXPECT_NE(contents.find("rejected-input storm (bad update)"),
             std::string::npos);
   EXPECT_NE(contents.find("rejected_input"), std::string::npos);
-#else
-  EXPECT_TRUE(path.empty());
-#endif
   obs::TraceRecorder::Reset();
 }
 

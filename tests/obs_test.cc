@@ -1,10 +1,7 @@
 // Tests for the observability layer (src/obs/): exact counter merging
 // under concurrency, trace-ring wraparound ordering, exporter snapshot
 // consistency under a racing workload, and the engine registries agreeing
-// with the engines' own accessor surfaces. The whole file compiles and
-// passes in BOTH obs modes — assertions that only hold with the layer
-// compiled in are gated on APC_OBS, and the no-op surface is asserted
-// explicitly under APC_OBS=0 (scripts/check.sh --obs runs that build).
+// with the engines' own accessor surfaces.
 
 #include "obs/metrics.h"
 
@@ -40,35 +37,23 @@ TEST(ObsMetricsTest, ConcurrentIncrementsMergeExactly) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50000;
   obs::Counter counter;
-  obs::ObsCounter obs_counter;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         counter.fetch_add(1, std::memory_order_relaxed);
-        obs_counter.fetch_add(2, std::memory_order_relaxed);
       }
     });
   }
   for (auto& t : threads) t.join();
-  // Counter is functional in BOTH obs modes (protocol-semantic tallies).
   EXPECT_EQ(counter.load(), int64_t{kThreads} * kPerThread);
-#if APC_OBS
-  EXPECT_EQ(obs_counter.load(), int64_t{2} * kThreads * kPerThread);
-#else
-  EXPECT_EQ(obs_counter.load(), 0);  // true no-op under APC_OBS=0
-#endif
 }
 
 TEST(ObsMetricsTest, GaugeLastWriterWins) {
   obs::Gauge gauge;
   gauge.Set(41);
   gauge.Add(1);
-#if APC_OBS
   EXPECT_EQ(gauge.Value(), 42);
-#else
-  EXPECT_EQ(gauge.Value(), 0);
-#endif
 }
 
 // -- histogram ---------------------------------------------------------
@@ -81,16 +66,11 @@ TEST(ObsHistogramTest, SnapshotTotalEqualsBinSum) {
   int64_t sum = 0;
   for (int64_t c : snap.counts) sum += c;
   EXPECT_EQ(snap.total, sum);
-#if APC_OBS
   EXPECT_EQ(snap.total, 8);
   ASSERT_EQ(snap.edges.size(), snap.counts.size() + 1);
   EXPECT_EQ(hist.Count(), 8);
-#else
-  EXPECT_EQ(hist.Count(), 0);
-#endif
 }
 
-#if APC_OBS
 TEST(ObsHistogramTest, QuantilesBracketTheData) {
   obs::HistogramMetric hist(1.0, 4096.0, 48);
   for (int i = 1; i <= 1000; ++i) hist.Record(static_cast<double>(i));
@@ -108,7 +88,6 @@ TEST(ObsHistogramTest, QuantilesBracketTheData) {
   for (int i = 0; i < 100; ++i) zeros.Record(0.0);
   EXPECT_LT(zeros.Quantile(0.99), 1.0);
 }
-#endif
 
 // -- trace recorder ----------------------------------------------------
 
@@ -120,7 +99,6 @@ TEST(ObsTraceTest, RingWraparoundKeepsNewestInOrder) {
   }
   obs::TraceRecorder::Disable();
   std::vector<obs::TraceRecord> dump = obs::TraceRecorder::DumpTrace();
-#if APC_OBS
   ASSERT_EQ(dump.size(), 16u);
   // Newest 16 of the 100, oldest first, seq strictly increasing.
   EXPECT_EQ(dump.front().arg, 84);
@@ -128,9 +106,6 @@ TEST(ObsTraceTest, RingWraparoundKeepsNewestInOrder) {
   for (size_t i = 1; i < dump.size(); ++i) {
     EXPECT_LT(dump[i - 1].seq, dump[i].seq);
   }
-#else
-  EXPECT_TRUE(dump.empty());
-#endif
   obs::TraceRecorder::Reset();
 }
 
@@ -150,7 +125,6 @@ TEST(ObsTraceTest, DumpStitchesThreadsIntoOneOrderedStream) {
   for (auto& t : threads) t.join();
   obs::TraceRecorder::Disable();
   std::vector<obs::TraceRecord> dump = obs::TraceRecorder::DumpTrace();
-#if APC_OBS
   ASSERT_EQ(dump.size(), static_cast<size_t>(kThreads * kPerThread));
   for (size_t i = 1; i < dump.size(); ++i) {
     EXPECT_LT(dump[i - 1].seq, dump[i].seq);  // one total order
@@ -164,9 +138,6 @@ TEST(ObsTraceTest, DumpStitchesThreadsIntoOneOrderedStream) {
     EXPECT_GE(r.now, last_now[static_cast<size_t>(r.id)]);
     last_now[static_cast<size_t>(r.id)] = r.now;
   }
-#else
-  EXPECT_TRUE(dump.empty());
-#endif
   obs::TraceRecorder::Reset();
 }
 
@@ -220,15 +191,11 @@ TEST(ObsExporterTest, SnapshotsConsistentUnderRacingWorkload) {
   obs::SnapshotExporter exporter(&registry);
   std::string json = exporter.ToJson();
   EXPECT_NE(json.find("\"schema\": \"apcache-obs-v1\""), std::string::npos);
-#if APC_OBS
   // Quiesced: the document carries the exact final total.
   EXPECT_NE(json.find("\"race.counter\": " +
                       std::to_string(counter.load())),
             std::string::npos);
   EXPECT_NE(json.find("\"race.hist\""), std::string::npos);
-#else
-  EXPECT_NE(json.find("\"obs_enabled\": 0"), std::string::npos);
-#endif
 }
 
 TEST(ObsExporterTest, BackgroundExportWritesFile) {
@@ -242,7 +209,6 @@ TEST(ObsExporterTest, BackgroundExportWritesFile) {
   exporter.StartBackground(path, /*interval_ms=*/2);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   exporter.Stop();
-#if APC_OBS
   EXPECT_GE(exporter.exports_written(), 1);
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -251,9 +217,6 @@ TEST(ObsExporterTest, BackgroundExportWritesFile) {
   std::fclose(f);
   EXPECT_NE(std::string(buf).find("apcache-obs-v1"), std::string::npos);
   std::remove(path.c_str());
-#else
-  EXPECT_EQ(exporter.exports_written(), 0);  // thread never started
-#endif
 }
 
 // -- engine registries -------------------------------------------------
@@ -275,7 +238,6 @@ TEST(ObsEngineTest, ShardedRegistryMatchesAccessors) {
   EXPECT_GT(counters.query_refreshes.load(), 0);
 
   obs::MetricsRegistry::Snapshot snap = engine.metrics().TakeSnapshot();
-#if APC_OBS
   EXPECT_EQ(snap.CounterValue("engine.updates_applied"),
             counters.updates_applied.load());
   EXPECT_EQ(snap.CounterValue("engine.value_refreshes"),
@@ -286,9 +248,6 @@ TEST(ObsEngineTest, ShardedRegistryMatchesAccessors) {
             counters.lost_pushes.load());
   EXPECT_EQ(snap.CounterValue("read.seqlock_retries"),
             counters.seqlock_retries.load());
-#else
-  EXPECT_TRUE(snap.counters.empty());  // the registry is a no-op
-#endif
 }
 
 TEST(ObsEngineTest, TieredRegistryMatchesLockSummedLossAccessors) {
@@ -306,7 +265,6 @@ TEST(ObsEngineTest, TieredRegistryMatchesLockSummedLossAccessors) {
 
   // The exact (lock-summed) accessors must see losses at these rates.
   EXPECT_GT(engine.lost_wan_pushes() + engine.lost_lan_pushes(), 0);
-#if APC_OBS
   // The lock-free registry tallies observe the same events one by one; at
   // quiescence the two views agree exactly.
   EXPECT_EQ(engine.counters().lost_wan_pushes.load(),
@@ -320,9 +278,6 @@ TEST(ObsEngineTest, TieredRegistryMatchesLockSummedLossAccessors) {
             engine.lost_wan_pushes());
   EXPECT_EQ(snap.CounterValue("tiered.lost_lan_pushes"),
             engine.lost_lan_pushes());
-#else
-  EXPECT_EQ(engine.counters().lost_wan_pushes.load(), 0);
-#endif
 }
 
 // The bus's registry metrics observe the same traffic total_pushed() does.
@@ -341,7 +296,6 @@ TEST(ObsEngineTest, BusMetricsMatchTraffic) {
 
   EXPECT_EQ(engine.bus().total_pushed(), 64);
   obs::MetricsRegistry::Snapshot snap = engine.metrics().TakeSnapshot();
-#if APC_OBS
   EXPECT_EQ(snap.CounterValue("bus.enqueued"), 64);
   // A tick-all broadcast is copied into every per-shard ring, so the
   // consumer drains one delivery per ring: enqueued counts accepted events
@@ -351,9 +305,6 @@ TEST(ObsEngineTest, BusMetricsMatchTraffic) {
   EXPECT_GT(snap.CounterValue("bus.drain_batches"), 0);
   EXPECT_EQ(snap.HistogramCount("bus.drain_batch_size"),
             snap.CounterValue("bus.drain_batches"));
-#else
-  EXPECT_EQ(snap.CounterValue("bus.enqueued"), 0);
-#endif
 }
 
 TEST(ObsEngineTest, DeliveryLagHistogramFedByConsumers) {
@@ -367,12 +318,8 @@ TEST(ObsEngineTest, DeliveryLagHistogramFedByConsumers) {
   engine.subscriptions().RecordDeliveryLag(3.0);
   engine.subscriptions().RecordDeliveryLag(200.0);
   obs::MetricsRegistry::Snapshot snap = engine.metrics().TakeSnapshot();
-#if APC_OBS
   EXPECT_EQ(snap.HistogramCount("subs.delivery_lag_ticks"), 3);
   EXPECT_GT(snap.HistogramQuantile("subs.delivery_lag_ticks", 0.99), 1.0);
-#else
-  EXPECT_EQ(snap.HistogramCount("subs.delivery_lag_ticks"), 0);
-#endif
 }
 
 }  // namespace

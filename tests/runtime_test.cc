@@ -6,11 +6,13 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "cache/system.h"
 #include "core/adaptive_policy.h"
+#include "loud_instruments.h"
 #include "query/query_gen.h"
 #include "runtime/workload_driver.h"
 
@@ -108,49 +110,88 @@ TEST(ShardedEngineTest, SingleShardMatchesCacheSystemExactly) {
   EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
 }
 
+// What one engine run answered and charged: the quiet and loud passes of a
+// harness must agree on all of it bit for bit.
+struct EngineRun {
+  std::vector<Interval> answers;
+  EngineCosts costs;
+  int64_t lost_pushes = 0;
+  double mean_raw_width = 0.0;
+};
+
+void ExpectSameRun(const EngineRun& quiet, const EngineRun& loud) {
+  EXPECT_EQ(quiet.answers, loud.answers);
+  EXPECT_EQ(quiet.costs.value_refreshes, loud.costs.value_refreshes);
+  EXPECT_EQ(quiet.costs.query_refreshes, loud.costs.query_refreshes);
+  EXPECT_EQ(quiet.costs.total_cost, loud.costs.total_cost);
+  EXPECT_EQ(quiet.costs.measured_ticks, loud.costs.measured_ticks);
+  EXPECT_EQ(quiet.lost_pushes, loud.lost_pushes);
+  EXPECT_EQ(quiet.mean_raw_width, loud.mean_raw_width);
+}
+
 // Lockstep parity harness shared by the drift-detection tests below: a
 // single-shard engine and the sequential CacheSystem, built from identical
 // source populations and driven tick-for-tick, must return the same
 // intervals and account the same costs — in EVERY read-lock mode, since
 // both sides drive the same ProtocolTable and a 1-thread optimistic read
-// can never tear.
+// can never tear. Each call runs twice, quiet and then loud (every obs
+// instrument live, see loud_instruments.h), and the two engine runs must
+// also match each other bit for bit.
 void ExpectLockstepParity(const SystemConfig& sys_config,
                           const AdaptivePolicyParams& policy,
                           const QueryWorkloadParams& workload,
                           ReadLockMode mode, int num_sources, int64_t ticks,
                           uint64_t query_seed) {
-  CacheSystem sequential(sys_config, MakeSources(num_sources, policy), kSeed);
-  sequential.PopulateInitial(0);
-  sequential.costs().BeginMeasurement(0);
+  EngineRun runs[2];
+  for (bool loud : {false, true}) {
+    SCOPED_TRACE(loud ? "loud" : "quiet");
+    CacheSystem sequential(sys_config, MakeSources(num_sources, policy),
+                           kSeed);
+    sequential.PopulateInitial(0);
+    sequential.costs().BeginMeasurement(0);
 
-  EngineConfig engine_config;
-  engine_config.system = sys_config;
-  engine_config.num_shards = 1;
-  engine_config.seed = kSeed;
-  engine_config.read_lock_mode = mode;
-  ShardedEngine engine(engine_config, MakeSources(num_sources, policy));
-  engine.PopulateInitial(0);
-  engine.BeginMeasurement(0);
+    EngineConfig engine_config;
+    engine_config.system = sys_config;
+    engine_config.num_shards = 1;
+    engine_config.seed = kSeed;
+    engine_config.read_lock_mode = mode;
+    ShardedEngine engine(engine_config, MakeSources(num_sources, policy));
+    std::optional<LoudInstruments> instruments;
+    if (loud) {
+      instruments.emplace(engine,
+                          ::testing::TempDir() + "apc_runtime_loud.json");
+    }
+    engine.PopulateInitial(0);
+    engine.BeginMeasurement(0);
 
-  QueryGenerator sequential_queries(workload, query_seed);
-  QueryGenerator engine_queries(workload, query_seed);
-  for (int64_t t = 1; t <= ticks; ++t) {
-    sequential.Tick(t);
-    engine.TickAll(t);
-    Interval expected = sequential.ExecuteQuery(sequential_queries.Next(), t);
-    Interval actual = engine.ExecuteQuery(engine_queries.Next(), t);
-    ASSERT_EQ(actual, expected)
-        << "diverged at tick " << t << " in mode " << static_cast<int>(mode);
+    EngineRun& run = runs[loud ? 1 : 0];
+    QueryGenerator sequential_queries(workload, query_seed);
+    QueryGenerator engine_queries(workload, query_seed);
+    for (int64_t t = 1; t <= ticks; ++t) {
+      sequential.Tick(t);
+      engine.TickAll(t);
+      Interval expected =
+          sequential.ExecuteQuery(sequential_queries.Next(), t);
+      Interval actual = engine.ExecuteQuery(engine_queries.Next(), t);
+      ASSERT_EQ(actual, expected)
+          << "diverged at tick " << t << " in mode " << static_cast<int>(mode);
+      run.answers.push_back(actual);
+    }
+    sequential.costs().EndMeasurement(ticks);
+    engine.EndMeasurement(ticks);
+
+    EXPECT_EQ(engine.lost_pushes(), sequential.lost_pushes());
+    EngineCosts costs = engine.TotalCosts();
+    EXPECT_EQ(costs.value_refreshes, sequential.costs().value_refreshes());
+    EXPECT_EQ(costs.query_refreshes, sequential.costs().query_refreshes());
+    EXPECT_DOUBLE_EQ(costs.total_cost, sequential.costs().total_cost());
+    EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
+    run.costs = costs;
+    run.lost_pushes = engine.lost_pushes();
+    run.mean_raw_width = engine.MeanRawWidth();
+    if (instruments) instruments->ExpectObserved();
   }
-  sequential.costs().EndMeasurement(ticks);
-  engine.EndMeasurement(ticks);
-
-  EXPECT_EQ(engine.lost_pushes(), sequential.lost_pushes());
-  EngineCosts costs = engine.TotalCosts();
-  EXPECT_EQ(costs.value_refreshes, sequential.costs().value_refreshes());
-  EXPECT_EQ(costs.query_refreshes, sequential.costs().query_refreshes());
-  EXPECT_DOUBLE_EQ(costs.total_cost, sequential.costs().total_cost());
-  EXPECT_DOUBLE_EQ(engine.MeanRawWidth(), sequential.MeanRawWidth());
+  ExpectSameRun(runs[0], runs[1]);
 }
 
 // Satellite: the parity net must catch drift in the delta0/delta1

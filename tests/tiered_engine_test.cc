@@ -7,6 +7,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/adaptive_policy.h"
 #include "data/random_walk.h"
 #include "hierarchy/hierarchy.h"
+#include "loud_instruments.h"
 #include "query/query_gen.h"
 #include "runtime/sharded_engine.h"
 #include "runtime/workload_driver.h"
@@ -93,75 +95,109 @@ TEST(TieredConfigTest, Validation) {
 /// RNG streams are per-entity (one policy instance per regional value and
 /// per (edge, value)), so the guarantee holds for ANY edge and shard
 /// count; the 1-edge/1-shard case is the pinned acceptance criterion.
+/// Each call runs twice, quiet and then loud (every obs instrument live,
+/// see loud_instruments.h), and the two engine runs must also match each
+/// other bit for bit.
 void ExpectTieredLockstepParity(int num_sources, int num_edges,
                                 int num_shards, ReadLockMode mode,
                                 int64_t ticks, uint64_t stream_seed) {
-  HierarchyConfig seq_config = SequentialConfig(num_sources, num_edges);
-  HierarchicalSystem sequential(seq_config,
-                                WalkStreams(num_sources, stream_seed), kSeed);
-  sequential.BeginMeasurement(0);
+  struct Run {
+    std::vector<Interval> answers;
+    EngineCosts wan;
+    EngineCosts lan;
+    double mean_raw_width = 0.0;
+  } runs[2];
+  for (bool loud : {false, true}) {
+    SCOPED_TRACE(loud ? "loud" : "quiet");
+    HierarchyConfig seq_config = SequentialConfig(num_sources, num_edges);
+    HierarchicalSystem sequential(
+        seq_config, WalkStreams(num_sources, stream_seed), kSeed);
+    sequential.BeginMeasurement(0);
 
-  TieredConfig tiered_config = TieredFrom(seq_config, num_shards, kSeed);
-  tiered_config.read_lock_mode = mode;
-  TieredEngine tiered(tiered_config, WalkStreams(num_sources, stream_seed));
-  tiered.PopulateInitial(0);
-  tiered.BeginMeasurement(0);
-
-  Rng seq_reads(kSeed ^ 0xF00D);
-  Rng tiered_reads(kSeed ^ 0xF00D);
-  for (int64_t t = 1; t <= ticks; ++t) {
-    sequential.Tick(t);
-    tiered.TickAll(t);
-    // Two reads per tick from identical draw streams.
-    for (int r = 0; r < 2; ++r) {
-      int edge = static_cast<int>(
-          seq_reads.UniformInt(0, num_edges - 1));
-      int id = static_cast<int>(seq_reads.UniformInt(0, num_sources - 1));
-      double constraint = seq_reads.Uniform(0.0, 30.0);
-      ASSERT_EQ(tiered_reads.UniformInt(0, num_edges - 1), edge);
-      ASSERT_EQ(tiered_reads.UniformInt(0, num_sources - 1), id);
-      ASSERT_EQ(tiered_reads.Uniform(0.0, 30.0), constraint);
-
-      Interval expected = sequential.Read(edge, id, constraint, t);
-      Interval actual = tiered.Read(edge, id, constraint, t);
-      ASSERT_EQ(actual, expected)
-          << "answer diverged at tick " << t << " (edge " << edge << ", id "
-          << id << ", constraint " << constraint << ")";
+    TieredConfig tiered_config = TieredFrom(seq_config, num_shards, kSeed);
+    tiered_config.read_lock_mode = mode;
+    TieredEngine tiered(tiered_config, WalkStreams(num_sources, stream_seed));
+    std::optional<LoudInstruments> instruments;
+    if (loud) {
+      instruments.emplace(tiered,
+                          ::testing::TempDir() + "apc_tiered_loud.json");
     }
-    for (int id = 0; id < num_sources; ++id) {
-      ASSERT_EQ(tiered.regional_interval(id, t),
-                sequential.regional_interval(id))
-          << "regional interval diverged at tick " << t << ", id " << id;
-      ASSERT_EQ(tiered.regional_raw_width(id),
-                sequential.regional_raw_width(id));
-      ASSERT_EQ(tiered.exact_value(id), sequential.exact_value(id));
-      for (int e = 0; e < num_edges; ++e) {
-        ASSERT_EQ(tiered.edge_interval(e, id, t),
-                  sequential.edge_interval(e, id))
-            << "edge interval diverged at tick " << t << ", edge " << e
-            << ", id " << id;
-        ASSERT_EQ(tiered.edge_raw_width(e, id),
-                  sequential.edge_raw_width(e, id));
+    tiered.PopulateInitial(0);
+    tiered.BeginMeasurement(0);
+
+    Run& run = runs[loud ? 1 : 0];
+
+    Rng seq_reads(kSeed ^ 0xF00D);
+    Rng tiered_reads(kSeed ^ 0xF00D);
+    for (int64_t t = 1; t <= ticks; ++t) {
+      sequential.Tick(t);
+      tiered.TickAll(t);
+      // Two reads per tick from identical draw streams.
+      for (int r = 0; r < 2; ++r) {
+        int edge = static_cast<int>(
+            seq_reads.UniformInt(0, num_edges - 1));
+        int id = static_cast<int>(seq_reads.UniformInt(0, num_sources - 1));
+        double constraint = seq_reads.Uniform(0.0, 30.0);
+        ASSERT_EQ(tiered_reads.UniformInt(0, num_edges - 1), edge);
+        ASSERT_EQ(tiered_reads.UniformInt(0, num_sources - 1), id);
+        ASSERT_EQ(tiered_reads.Uniform(0.0, 30.0), constraint);
+
+        Interval expected = sequential.Read(edge, id, constraint, t);
+        Interval actual = tiered.Read(edge, id, constraint, t);
+        ASSERT_EQ(actual, expected)
+            << "answer diverged at tick " << t << " (edge " << edge << ", id "
+            << id << ", constraint " << constraint << ")";
+        run.answers.push_back(actual);
+      }
+      for (int id = 0; id < num_sources; ++id) {
+        ASSERT_EQ(tiered.regional_interval(id, t),
+                  sequential.regional_interval(id))
+            << "regional interval diverged at tick " << t << ", id " << id;
+        ASSERT_EQ(tiered.regional_raw_width(id),
+                  sequential.regional_raw_width(id));
+        ASSERT_EQ(tiered.exact_value(id), sequential.exact_value(id));
+        for (int e = 0; e < num_edges; ++e) {
+          ASSERT_EQ(tiered.edge_interval(e, id, t),
+                    sequential.edge_interval(e, id))
+              << "edge interval diverged at tick " << t << ", edge " << e
+              << ", id " << id;
+          ASSERT_EQ(tiered.edge_raw_width(e, id),
+                    sequential.edge_raw_width(e, id));
+        }
       }
     }
-  }
-  sequential.EndMeasurement(ticks);
-  tiered.EndMeasurement(ticks);
+    sequential.EndMeasurement(ticks);
+    tiered.EndMeasurement(ticks);
 
-  EngineCosts wan = tiered.WanCosts();
-  EngineCosts lan = tiered.LanCosts();
-  EXPECT_EQ(wan.value_refreshes, sequential.wan_costs().value_refreshes());
-  EXPECT_EQ(wan.query_refreshes, sequential.wan_costs().query_refreshes());
-  EXPECT_DOUBLE_EQ(wan.total_cost, sequential.wan_costs().total_cost());
-  EXPECT_EQ(lan.value_refreshes, sequential.lan_costs().value_refreshes());
-  EXPECT_EQ(lan.query_refreshes, sequential.lan_costs().query_refreshes());
-  EXPECT_DOUBLE_EQ(lan.total_cost, sequential.lan_costs().total_cost());
-  EXPECT_DOUBLE_EQ(tiered.TotalCostRate(), sequential.TotalCostRate());
-  // The workload genuinely exercised every hop.
-  EXPECT_GT(wan.value_refreshes, 0) << "weak setup: no WAN pushes";
-  EXPECT_GT(wan.query_refreshes, 0) << "weak setup: no source escalations";
-  EXPECT_GT(lan.value_refreshes, 0) << "weak setup: no derived fan-out";
-  EXPECT_GT(lan.query_refreshes, 0) << "weak setup: no edge escalations";
+    EngineCosts wan = tiered.WanCosts();
+    EngineCosts lan = tiered.LanCosts();
+    EXPECT_EQ(wan.value_refreshes, sequential.wan_costs().value_refreshes());
+    EXPECT_EQ(wan.query_refreshes, sequential.wan_costs().query_refreshes());
+    EXPECT_DOUBLE_EQ(wan.total_cost, sequential.wan_costs().total_cost());
+    EXPECT_EQ(lan.value_refreshes, sequential.lan_costs().value_refreshes());
+    EXPECT_EQ(lan.query_refreshes, sequential.lan_costs().query_refreshes());
+    EXPECT_DOUBLE_EQ(lan.total_cost, sequential.lan_costs().total_cost());
+    EXPECT_DOUBLE_EQ(tiered.TotalCostRate(), sequential.TotalCostRate());
+    // The workload genuinely exercised every hop.
+    EXPECT_GT(wan.value_refreshes, 0) << "weak setup: no WAN pushes";
+    EXPECT_GT(wan.query_refreshes, 0) << "weak setup: no source escalations";
+    EXPECT_GT(lan.value_refreshes, 0) << "weak setup: no derived fan-out";
+    EXPECT_GT(lan.query_refreshes, 0) << "weak setup: no edge escalations";
+    run.wan = wan;
+    run.lan = lan;
+    run.mean_raw_width = tiered.MeanRawWidth();
+    if (instruments) instruments->ExpectObserved();
+  }
+  const Run& quiet = runs[0];
+  const Run& loud = runs[1];
+  EXPECT_EQ(quiet.answers, loud.answers);
+  EXPECT_EQ(quiet.wan.value_refreshes, loud.wan.value_refreshes);
+  EXPECT_EQ(quiet.wan.query_refreshes, loud.wan.query_refreshes);
+  EXPECT_EQ(quiet.wan.total_cost, loud.wan.total_cost);
+  EXPECT_EQ(quiet.lan.value_refreshes, loud.lan.value_refreshes);
+  EXPECT_EQ(quiet.lan.query_refreshes, loud.lan.query_refreshes);
+  EXPECT_EQ(quiet.lan.total_cost, loud.lan.total_cost);
+  EXPECT_EQ(quiet.mean_raw_width, loud.mean_raw_width);
 }
 
 // The pinned acceptance criterion: 1 edge / 1 shard / 1 thread.
