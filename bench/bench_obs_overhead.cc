@@ -10,11 +10,11 @@
 // tick and notify sites, and it drives the data-plane sites kFlight skips
 // (escalations, pulls, fan-outs) at tiered_geo's rates, so moving one of
 // them into kFlight shows here. No hand-off sits on the timed path: one
-// per tick, to the pump or a wait for the notifier, moved the median by 7
-// to 11 points between identical runs. kPairs alternating armed (kFlight)
-// and disarmed pairs each give a time-per-read ratio; the exit code fails
-// when their median exceeds kMaxArmedRatio or an armed run misses a
-// kFlight site the row drives. (The loud pass of the lockstep parity
+// per tick, to another thread or a wait for the notifier, moved the
+// median by 7 to 11 points between identical runs. kPairs alternating
+// armed (kFlight) and disarmed pairs each give a time-per-read ratio; the
+// exit code fails when their median exceeds kMaxArmedRatio or an armed
+// run misses a kFlight site the row drives. (The loud pass of the lockstep parity
 // tests pins that the recorder never changes an answer; here subscription
 // escalations race the reads, so two runs need not answer alike.)
 //
@@ -22,7 +22,7 @@
 // widest-concurrency seqlock cell (8 shards x 8 threads, updates through
 // the bus), each the qps-median of 7 runs: "steady_flight_recorder"
 // (armed at kFlight), "steady" (disarmed) and "steady_traced" (kFull).
-// They reach the pump's drain batches and the race-only retries and
+// They reach the bus's drain batches and the race-only retries and
 // fallbacks. Every row reports trace_records_per_op: records written
 // (retained plus overwritten) per read.
 //

@@ -24,11 +24,11 @@
 // change.
 //
 // Part 4 measures the batched update rings themselves: a raw-bus drain
-// race (consumer PopBatch with max_batch 256 vs 1 against the identical
-// producer stream — the whole-burst drain the pump uses vs a per-event
-// consumer), and a pump-under-load run whose bus.drain_batch_size
-// histogram is snapshotted from the obs registry into the committed
-// trajectory.
+// race (a polling consumer draining each ring with max_batch 256 vs 1
+// against the identical producer stream — the whole-burst drain the
+// engine's combiner uses vs a per-event consumer), and an update-heavy
+// driver run whose bus.drain_batch_size histogram is snapshotted from the
+// obs registry into the committed trajectory.
 //
 // Usage: bench_runtime_throughput [queries_per_thread] [num_sources] [out.json]
 #include <algorithm>
@@ -202,10 +202,11 @@ DriverReport RunMedian(int repeats, ReadLockMode mode, double zipf_s,
 
 /// End-to-end events/sec through a raw multi-ring bus: one producer
 /// pushing fixed 64-event batches (one destination per batch, so each
-/// PushBatch is a single contiguous reservation), one consumer draining
-/// with the given max_batch. max_batch 256 is the pump's whole-burst
-/// drain; max_batch 1 simulates the old one-event-per-lock-acquisition
-/// consumer. Returns events/sec, or a negative count on lost events.
+/// PushBatch is a single contiguous reservation), one consumer polling
+/// the rings round-robin with DrainRing at the given max_batch. max_batch
+/// 256 is the combiner's whole-burst drain; max_batch 1 simulates a
+/// one-event-per-lock-acquisition consumer. Returns events/sec, or a
+/// negative count on lost events.
 double DrainThroughput(size_t max_batch, int64_t total_batches) {
   constexpr size_t kRings = 4;
   constexpr size_t kBatch = 64;
@@ -224,16 +225,30 @@ double DrainThroughput(size_t max_batch, int64_t total_batches) {
     }
     bus.Close();
   });
+  const int64_t expected = total_batches * static_cast<int64_t>(kBatch);
   int64_t drained = 0;
   std::vector<UpdateEvent> batch;
-  for (size_t n = 0; (n = bus.PopBatch(&batch, max_batch)) > 0;) {
+  // Polls until every event arrived, or a full sweep that began after the
+  // producer closed the bus found nothing (lost events then show as a
+  // shortfall). The producer closes after its last publish, so a sweep
+  // that saw the close first misses no event.
+  size_t idle = 0;  // consecutive empty rings
+  bool closed_before_sweep = false;
+  for (size_t ring = 0; drained < expected; ring = (ring + 1) % kRings) {
+    if (idle == 0) closed_before_sweep = bus.closed();
+    size_t n = bus.DrainRing(ring, &batch, max_batch);
     drained += static_cast<int64_t>(n);
+    idle = n > 0 ? 0 : idle + 1;
+    if (idle == kRings) {
+      if (closed_before_sweep) break;
+      std::this_thread::yield();
+      idle = 0;
+    }
   }
   double wall = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
   producer.join();
-  const int64_t expected = total_batches * static_cast<int64_t>(kBatch);
   if (drained != expected) return static_cast<double>(drained - expected);
   return static_cast<double>(drained) / wall;
 }
@@ -382,8 +397,9 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner("RUNTIME-4", "batched update rings: drain granularity");
-  bench::Note("raw bus, identical producer stream; consumer max_batch 256 "
-              "(the pump's whole-burst drain) vs 1 (per-event consumer)");
+  bench::Note("raw bus, identical producer stream; polling consumer "
+              "max_batch 256 (the combiner's whole-burst drain) vs 1 "
+              "(per-event consumer)");
   bool bus_drain_complete = true;
   {
     const int64_t drain_batches = std::max<int64_t>(
@@ -408,10 +424,10 @@ int main(int argc, char** argv) {
           .Num("events_per_second", pass == 0 ? batched_eps : per_event_eps);
     }
 
-    // The pump under real load: an update-heavy driver run, then the
-    // bus.drain_batch_size histogram lifted from the obs registry — the
-    // committed evidence that the pump drains multi-event bursts per shard
-    // lock acquisition rather than one event at a time.
+    // The update path under real load: an update-heavy driver run, then
+    // the bus.drain_batch_size histogram lifted from the obs registry —
+    // the committed evidence that the combiner drains multi-event bursts
+    // per shard lock acquisition rather than one event at a time.
     EngineConfig config;
     config.num_shards = 8;
     config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
@@ -432,7 +448,7 @@ int main(int argc, char** argv) {
     double drain_p50 = snap.HistogramQuantile("bus.drain_batch_size", 0.5);
     double drain_p95 = snap.HistogramQuantile("bus.drain_batch_size", 0.95);
     int64_t batches = snap.HistogramCount("bus.drain_batch_size");
-    std::printf("  pump under load (burst 64): drain_batch_size p50 %.0f "
+    std::printf("  updates under load (burst 64): drain_batch_size p50 %.0f "
                 "p95 %.0f over %lld drains, %lld ticks\n",
                 drain_p50, drain_p95, static_cast<long long>(batches),
                 static_cast<long long>(r.ticks));

@@ -10,6 +10,7 @@
 #include "core/interval.h"
 #include "core/protocol_table.h"
 #include "obs/metrics.h"
+#include "runtime/update_bus.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -53,7 +54,7 @@ struct RuntimeCounters {
   /// One per source once its tick (and that tick's fan-out) is applied.
   obs::Counter updates_applied;
   /// Update events naming a source id no shard owns: skipped and counted
-  /// rather than crashing the pump thread.
+  /// rather than crashing the thread applying them.
   obs::Counter rejected_updates;
   /// Query/point-read source ids no shard owns: dropped from the request
   /// and counted (the malformed id contributes nothing to the result).
@@ -158,9 +159,12 @@ struct Shard {
   std::vector<int> dirty_scratch APC_GUARDED_BY(mu);  // exclusive scratch
   /// The origin refreshes a tick pass delivered, in slot order, waiting to
   /// ship edge by edge (exclusive scratch). Reserved to one per source at
-  /// construction — a pass delivers at most that — so the pump allocates
-  /// nothing.
+  /// construction — a pass delivers at most that — so the update path
+  /// allocates nothing.
   std::vector<PendingFanOut> fan_out APC_GUARDED_BY(mu);
+  /// The burst a combiner drained from this shard's bus ring (exclusive
+  /// scratch), reserved to the engine's burst bound at construction.
+  std::vector<UpdateEvent> burst APC_GUARDED_BY(mu);
 };
 
 }  // namespace apc

@@ -176,7 +176,8 @@ TieredEngine::Layout TieredEngine::TieredLayout(
 
 TieredEngine::TieredEngine(Layout layout)
     : config_(layout.config),
-      bus_(config_.bus_capacity, static_cast<size_t>(config_.num_shards)),
+      bus_(config_.bus_capacity, static_cast<size_t>(config_.num_shards),
+           [this](size_t ring, uint64_t until) { CombineRing(ring, until); }),
       subscriptions_(&host_, config_.subscription_hub_capacity) {
   const size_t num_shards = static_cast<size_t>(config_.num_shards);
   // Reject malformed sources up front: null, an invalid policy
@@ -220,6 +221,7 @@ TieredEngine::TieredEngine(Layout layout)
       WriterMutexLock lock(shard->mu);
       shard->sources.reserve(positions.size());
       shard->fan_out.reserve(positions.size());
+      shard->burst.reserve(kMaxBurst);
       for (size_t i : positions) {
         // Registration hands out slots in order, so a source's slot index
         // is its position in `sources`.
@@ -467,27 +469,43 @@ void TieredEngine::InstallDerived(const Shard& s, EdgeShard& es, int id,
 }
 
 // The synchronous update path applies each shard's share of an update as
-// a one-event burst: the pump's path, run on the caller's thread.
+// a one-event burst: the combining path, minus the bus.
 void TieredEngine::TickAll(int64_t now) {
   const UpdateEvent event{now, UpdateEvent::kAllSources};
   for (size_t shard = 0; shard < origin_.size(); ++shard) {
-    ApplyShardEvents(static_cast<int>(shard), &event, 1);
+    Shard& s = *origin_[shard];
+    WriterMutexLock lock(s.mu);
+    ApplyBurstLocked(s, static_cast<int>(shard), &event, 1);
   }
 }
 
 void TieredEngine::TickSource(int id, int64_t now) {
   const UpdateEvent event{now, id};
-  ApplyShardEvents(ShardOf(id), &event, 1);
+  const int shard = ShardOf(id);
+  Shard& s = *origin_[static_cast<size_t>(shard)];
+  WriterMutexLock lock(s.mu);
+  ApplyBurstLocked(s, shard, &event, 1);
 }
 
-void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
-                                    size_t count) {
+void TieredEngine::CombineRing(size_t ring, uint64_t until) {
+  // The bus keeps one ring per origin shard (RingOf == ShardOf; tick-alls
+  // are broadcast into every ring), so the exclusive shard hold is the
+  // ring's consumer token: one consumer at a time, per-source order
+  // intact, each drained burst applied under this one acquisition.
+  Shard& s = *origin_[ring];
+  WriterMutexLock lock(s.mu);
+  while (bus_.DrainRing(ring, &s.burst, kMaxBurst, until) > 0) {
+    ApplyBurstLocked(s, static_cast<int>(ring), s.burst.data(),
+                     s.burst.size());
+  }
+}
+
+void TieredEngine::ApplyBurstLocked(Shard& s, int shard,
+                                    const UpdateEvent* events, size_t count) {
   // Root span of the update path: one burst and every refresh cascade it
   // triggers.
   obs::TraceScope span(obs::SpanKind::kTick, /*id=*/-1,
                        count > 0 ? events[0].now : 0);
-  Shard& s = *origin_[static_cast<size_t>(shard)];
-  WriterMutexLock lock(s.mu);
   // Batch maximum, not the last event: with multiple bus producers the
   // burst need not be time-ordered, and publishing a change at an earlier
   // logical time than the tick that produced it would let the notifier
@@ -512,35 +530,10 @@ void TieredEngine::ApplyShardEvents(int shard, const UpdateEvent* events,
   PublishChangesLocked(s, last_now);
 }
 
-bool TieredEngine::StartUpdatePump() {
-  MutexLock lock(pump_mu_);
-  if (pump_running_) return true;
-  if (bus_.closed()) return false;  // a closed bus never reopens
-  pump_running_ = true;
-  pump_ = std::thread([this] { PumpLoop(); });
-  return true;
-}
+bool TieredEngine::StartUpdatePump() { return bus_.StartCombining(); }
 
 void TieredEngine::StopUpdatePump() {
-  MutexLock lock(pump_mu_);
-  if (!pump_running_) return;
-  bus_.Close();
-  pump_.join();
-  pump_running_ = false;
-}
-
-void TieredEngine::PumpLoop() {
-  // The bus keeps one ring per origin shard (RingOf == ShardOf; tick-alls
-  // are broadcast into every ring), so a drained burst belongs to exactly
-  // one shard and is applied under ONE exclusive lock acquisition, with
-  // per-source event order intact.
-  constexpr size_t kMaxBatch = 256;
-  std::vector<UpdateEvent> batch;
-  size_t ring = 0;
-  size_t n = 0;
-  while ((n = bus_.PopBatch(&batch, kMaxBatch, &ring)) > 0) {
-    ApplyShardEvents(static_cast<int>(ring), batch.data(), n);
-  }
+  if (bus_.combining()) bus_.Close();
 }
 
 // -- origin reads ----------------------------------------------------------
@@ -756,7 +749,7 @@ Interval TieredEngine::PointRead(int id, double max_width, int64_t now) {
   // An invalid constraint or an unowned id is rejected before any lock: no
   // interval meets the one, the other has no slot, so either could only
   // pull or miss, and a stream of them must not serialize the shard
-  // against the pump on the exclusive lock.
+  // against the update path on the exclusive lock.
   if (!ValidConstraint(max_width)) {
     Reject(counters_.rejected_constraints, "invalid read constraint", id,
            now);

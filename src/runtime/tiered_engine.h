@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/source.h"
@@ -106,10 +105,10 @@ using TieredCounters = RuntimeCounters;
 /// interval no longer contains the new regional interval receives a
 /// derived refresh at one LAN Cvr each. Updates arrive synchronously via
 /// TickAll/TickSource (the deterministic lockstep path) or asynchronously
-/// through the UpdateBus drained by the pump thread; the fan-out happens
-/// at delivery, under the same exclusive regional hold as the regional
-/// refresh. A whole-tick pass ships its fan-out edge by edge, one edge
-/// shard acquisition per edge.
+/// through the UpdateBus, whose producers apply what they push (flat
+/// combining, see UpdateBus); the fan-out happens at delivery, under the
+/// same exclusive regional hold as the regional refresh. A whole-tick pass
+/// ships its fan-out edge by edge, one edge shard acquisition per edge.
 ///
 /// Derived-precision invariant (paper §5): every edge interval is a hull
 /// of the regional interval it was derived from, so A_edge ⊇ A_regional —
@@ -227,14 +226,15 @@ class TieredEngine {
   const SubscriptionManager& subscriptions() const { return subscriptions_; }
 
   // -- asynchronous update path --------------------------------------
+  /// The update bus; its producers hold no lock (UpdateBus::PushBatch).
   UpdateBus& bus() { return bus_; }
-  /// Starts the pump thread draining the bus into the origin tier (the
-  /// LAN fan-out happens at delivery). Returns true when the pump is
-  /// running (newly started or already); returns false — and starts
-  /// nothing — once the bus has been closed: the asynchronous path is
-  /// single-use per engine.
+  /// Switches the bus to combining: every later push is applied, fan-out
+  /// included, by its own thread, and the backlog by the caller's. Starts
+  /// no thread. True when on (newly or already); false once the bus is
+  /// closed — the asynchronous path is single-use per engine.
   bool StartUpdatePump();
-  /// Closes the bus, drains the backlog, and joins the pump.
+  /// When started: closes the bus, so later pushes fail, and applies
+  /// whatever is still queued on the caller's thread. A no-op otherwise.
   void StopUpdatePump();
 
   // -- measurement and observability ---------------------------------
@@ -405,17 +405,22 @@ class TieredEngine {
   /// (enqueue-only). Requires `s.mu` held exclusively.
   void PublishChangesLocked(Shard& s, int64_t now) APC_REQUIRES(s.mu);
 
-  /// Applies one burst of update events to origin shard `shard` under ONE
-  /// exclusive lock acquisition — the pump's whole-burst entry point, and
-  /// the synchronous TickAll/TickSource path — event by event. A
-  /// kAllSources event (this ring's copy of a broadcast) is TickAllLocked,
-  /// whose fan-out ships before the burst's next event, so per-source
-  /// event order holds; a specific id is TickSourceLocked; unknown ids are
-  /// counted as rejected. Changes are published once, at
-  /// the batch-maximum time (the bus batch need not be time-ordered),
-  /// before the hold is released.
-  void ApplyShardEvents(int shard, const UpdateEvent* events, size_t count);
-  void PumpLoop();
+  /// Applies one burst of update events to origin shard `s` (index
+  /// `shard`) event by event — a combiner's per-burst step, and the
+  /// synchronous TickAll/TickSource path. A kAllSources event (this ring's
+  /// copy of a broadcast) is TickAllLocked, whose fan-out ships before the
+  /// burst's next event, so per-source event order holds; a specific id is
+  /// TickSourceLocked; unknown ids are counted as rejected. Changes are
+  /// published once, at the batch-maximum time (the bus batch need not be
+  /// time-ordered). Requires `s.mu` held exclusively.
+  void ApplyBurstLocked(Shard& s, int shard, const UpdateEvent* events,
+                        size_t count) APC_REQUIRES(s.mu);
+
+  /// The bus's Combiner: takes origin shard `ring`'s lock exclusively —
+  /// the ring's consumer token — and applies DrainRing bursts of up to
+  /// kMaxBurst events until the ring's head has passed `until`.
+  void CombineRing(size_t ring, uint64_t until);
+  static constexpr size_t kMaxBurst = 256;
 
   /// Calls `fn(table)` on every tier's table, shard by shard, each under
   /// its shard lock held exclusively (origin -> edge).
@@ -489,10 +494,6 @@ class TieredEngine {
   /// Mutable: the const snapshot reads tally their seqlock retries.
   mutable RuntimeCounters counters_;
   UpdateBus bus_;
-  /// Rank kControl: Stop closes the bus (kQueue) and joins under it.
-  Mutex pump_mu_{LockRank::kControl, "engine.pump_mu"};
-  std::thread pump_ APC_GUARDED_BY(pump_mu_);
-  bool pump_running_ APC_GUARDED_BY(pump_mu_) = false;
   Host host_{this};
   /// Declared last: destroyed first, so the notifier thread is joined
   /// while the tiers it reads through are still alive.

@@ -1,6 +1,7 @@
 #include "runtime/update_bus.h"
 
 #include <thread>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -20,8 +21,9 @@ UpdateBus::Ring::Ring(size_t logical_capacity) {
                 std::memory_order_relaxed);
 }
 
-UpdateBus::UpdateBus(size_t capacity, size_t num_rings)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+UpdateBus::UpdateBus(size_t capacity, size_t num_rings, Combiner combiner)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      combiner_(std::move(combiner)) {
   if (num_rings == 0) num_rings = 1;
   for (size_t i = 0; i < num_rings; ++i) rings_.emplace_back(capacity_);
 }
@@ -70,7 +72,7 @@ bool UpdateBus::AcquireBroadcastCredits(int64_t n, bool blocking) {
       for (size_t i = 0; i < r; ++i) {
         rings_[i].credits.fetch_add(n, std::memory_order_release);
       }
-      Wake(not_full_);
+      WakeProducers();
       return false;
     }
   }
@@ -96,34 +98,22 @@ void UpdateBus::WriteRange(Ring& ring, const UpdateEvent* events, size_t n) {
 
 bool UpdateBus::PushRun(const UpdateEvent* events, size_t n, bool broadcast,
                         size_t ring_index, bool blocking) {
-  // pending_pushes_ must cover the whole accept window (seq_cst pairs with
-  // the consumer's shutdown check): once a producer passes the closed_
-  // gate, the consumer cannot conclude "drained" until the events are
-  // published.
-  pending_pushes_.fetch_add(1, std::memory_order_seq_cst);
   bool acquired;
   if (broadcast) {
     acquired = AcquireBroadcastCredits(static_cast<int64_t>(n), blocking);
   } else if (blocking) {
     acquired = AcquireCredits(rings_[ring_index], static_cast<int64_t>(n));
   } else {
-    acquired = !closed_.load(std::memory_order_seq_cst) &&
+    acquired = !closed_.load(std::memory_order_acquire) &&
                TryAcquireCredits(rings_[ring_index], static_cast<int64_t>(n));
   }
-  if (!acquired) {
-    pending_pushes_.fetch_sub(1, std::memory_order_seq_cst);
-    // A consumer draining a closed bus waits for pending_pushes_ to reach
-    // zero, so a failed push wakes it as a publish does.
-    Wake(not_empty_);
-    return false;
-  }
+  if (!acquired) return false;
   if (broadcast) {
     for (Ring& ring : rings_) WriteRange(ring, events, n);
   } else {
     WriteRange(rings_[ring_index], events, n);
   }
   total_pushed_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-  pending_pushes_.fetch_sub(1, std::memory_order_seq_cst);
 
   enqueued_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
   int64_t depth = static_cast<int64_t>(size());
@@ -132,7 +122,20 @@ bool UpdateBus::PushRun(const UpdateEvent* events, size_t n, bool broadcast,
     obs::TraceRecorder::Record(obs::TraceEvent::kBusEnqueue,
                                events[i].source_id, events[i].now, depth);
   }
-  Wake(not_empty_);
+
+  // Store-buffering pair with StartCombining (publish, fence, read the
+  // flag vs. set the flag, fence, drain): at least one side sees the
+  // other's store, so an event published while Start runs is applied.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!combining_.load(std::memory_order_relaxed)) return true;
+  if (broadcast) {
+    for (size_t r = 0; r < rings_.size(); ++r) {
+      combiner_(r, rings_[r].tail.load(std::memory_order_relaxed));
+    }
+  } else {
+    combiner_(ring_index,
+              rings_[ring_index].tail.load(std::memory_order_relaxed));
+  }
   return true;
 }
 
@@ -170,8 +173,8 @@ size_t UpdateBus::PushBatch(const UpdateEvent* events, size_t count) {
   return accepted;
 }
 
-size_t UpdateBus::DrainRing(Ring& ring, std::vector<UpdateEvent>* out,
-                            size_t max_batch) {
+size_t UpdateBus::DrainPublished(Ring& ring, std::vector<UpdateEvent>* out,
+                                 size_t max_batch) {
   uint64_t head = ring.head.load(std::memory_order_relaxed);
   size_t n = 0;
   while (n < max_batch) {
@@ -179,10 +182,7 @@ size_t UpdateBus::DrainRing(Ring& ring, std::vector<UpdateEvent>* out,
     // seq == position+1 marks "published"; the drain stops at the first
     // unpublished cell, so a mid-reservation producer only delays its own
     // suffix, never reorders anything.
-    if (cell.seq.load(std::memory_order_acquire) !=
-        head + n + 1) {
-      break;
-    }
+    if (cell.seq.load(std::memory_order_acquire) != head + n + 1) break;
     out->push_back(cell.event);
     ++n;
   }
@@ -196,79 +196,52 @@ size_t UpdateBus::DrainRing(Ring& ring, std::vector<UpdateEvent>* out,
   return n;
 }
 
-size_t UpdateBus::PopBatch(std::vector<UpdateEvent>* out, size_t max_batch,
-                           size_t* source_ring) {
+size_t UpdateBus::DrainRing(size_t ring_index, std::vector<UpdateEvent>* out,
+                            size_t max_batch, uint64_t until) {
   out->clear();
   if (max_batch == 0) return 0;
-  for (;;) {
-    for (size_t k = 0; k < rings_.size(); ++k) {
-      size_t r = (next_ring_ + k) % rings_.size();
-      size_t n = DrainRing(rings_[r], out, max_batch);
-      if (n == 0) continue;
-      next_ring_ = (r + 1) % rings_.size();
-      if (source_ring != nullptr) *source_ring = r;
-      drained_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-      drain_batches_.fetch_add(1, std::memory_order_relaxed);
-      drain_batch_size_.Record(static_cast<double>(n));
-      queue_depth_.Set(static_cast<int64_t>(size()));
-      obs::TraceRecorder::Record(obs::TraceEvent::kBusDrainBatch, /*id=*/-1,
-                                 out->back().now, static_cast<int64_t>(n));
-      Wake(not_full_);
-      return n;
-    }
-    if (closed_.load(std::memory_order_seq_cst) &&
-        pending_pushes_.load(std::memory_order_seq_cst) == 0) {
-      // No producer is mid-accept, so tails are final; if every ring's
-      // head caught up, the backlog is truly drained. (A publish that
-      // landed between the scan above and this check just loops again.)
-      bool drained = true;
-      for (Ring& ring : rings_) {
-        if (ring.head.load(std::memory_order_acquire) !=
-            ring.tail.load(std::memory_order_acquire)) {
-          drained = false;
-          break;
-        }
-      }
-      if (drained) return 0;
-      continue;
-    }
-    MutexLock lock(mu_);
-    // Re-check under the parking lot before waiting. Everything that can
-    // end this wait (a publish, a failed push at shutdown, Close) changes
-    // its state first and then visits mu_ to notify, so it either happened
-    // before this check and is seen here, or it finds this thread already
-    // waiting.
-    if (AnyPublished() ||
-        (closed_.load(std::memory_order_seq_cst) &&
-         pending_pushes_.load(std::memory_order_seq_cst) == 0)) {
-      continue;
-    }
-    not_empty_.Wait(mu_);
+  Ring& ring = rings_[ring_index];
+  size_t n;
+  while ((n = DrainPublished(ring, out, max_batch)) == 0) {
+    if (ring.head.load(std::memory_order_relaxed) >= until) return 0;
+    // A reservation below `until` is mid-publish by a producer holding no
+    // lock: it lands within a few of that producer's instructions.
+    std::this_thread::yield();
   }
+  drained_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+  drain_batches_.fetch_add(1, std::memory_order_relaxed);
+  drain_batch_size_.Record(static_cast<double>(n));
+  queue_depth_.Set(static_cast<int64_t>(size()));
+  obs::TraceRecorder::Record(obs::TraceEvent::kBusDrainBatch, /*id=*/-1,
+                             out->back().now, static_cast<int64_t>(n));
+  WakeProducers();
+  return n;
 }
 
-bool UpdateBus::AnyPublished() const {
-  for (const Ring& ring : rings_) {
-    uint64_t head = ring.head.load(std::memory_order_relaxed);
-    if (ring.cells[head & ring.mask].seq.load(std::memory_order_acquire) ==
-        head + 1) {
-      return true;
-    }
-  }
-  return false;
+bool UpdateBus::StartCombining() {
+  if (!combiner_ || closed()) return false;
+  combining_.store(true, std::memory_order_seq_cst);
+  // The other half of PushRun's store-buffering pair: flag, fence, drain.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  CombineAll();
+  return true;
 }
 
-void UpdateBus::Wake(CondVar& cv) {
+void UpdateBus::CombineAll() {
+  for (size_t r = 0; r < rings_.size(); ++r) combiner_(r, 0);
+}
+
+void UpdateBus::WakeProducers() {
   // The visit orders this notify after any waiter's locked re-check: the
   // waiter either saw the new state or is already inside Wait.
   { MutexLock lock(mu_); }
-  cv.NotifyAll();
+  not_full_.NotifyAll();
 }
 
 void UpdateBus::Close() {
   closed_.store(true, std::memory_order_seq_cst);
-  Wake(not_full_);
-  Wake(not_empty_);
+  WakeProducers();
+  if (combining()) CombineAll();
 }
 
 size_t UpdateBus::size() const {

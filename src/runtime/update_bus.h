@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,9 +28,9 @@ struct UpdateEvent {
   static constexpr int kAllSources = -1;
 };
 
-/// Bounded multi-producer single-consumer bus carrying source updates into
-/// the runtime's shards, built from per-shard ring buffers so the pump can
-/// apply a whole drained burst under ONE shard-lock acquisition.
+/// Bounded multi-producer bus carrying source updates into the runtime's
+/// shards, built from per-shard ring buffers so a whole drained burst is
+/// applied under ONE shard-lock acquisition.
 ///
 /// Structure: `num_rings` bounded rings (one per shard in the engines),
 /// each a power-of-two array of sequence-stamped cells. A specific
@@ -45,53 +46,71 @@ struct UpdateEvent {
 /// logical capacity), then reserve a contiguous range of cells with a
 /// single tail.fetch_add(n) — one atomic per batch, not per event — then
 /// write the cells and publish each by storing its sequence number.
-/// Producers with no credits block (closed-loop backpressure, exactly the
-/// old deque semantics); TryPush fails instead. An acquired credit
-/// guarantees the target cell is already recycled, so producers never wait
-/// on the consumer while holding a reservation.
+/// Producers with no credits park (closed-loop backpressure); TryPush
+/// fails instead. An acquired credit guarantees the target cell is already
+/// recycled, so a producer never waits while holding a reservation.
 ///
-/// Consumer protocol: PopBatch drains one ring per call (round-robin over
-/// non-empty rings), reading the contiguous published prefix, then
-/// recycles the cells and returns the credits. Close() wakes everyone:
-/// producers fail fast, and once every ring's backlog drains PopBatch
-/// returns 0.
+/// Consumer protocol (flat combining: Hendler, Incze, Shavit & Tzafrir,
+/// SPAA 2010): no consumer thread. Once StartCombining has run, a producer
+/// applies what it published: for each ring it wrote it calls the owner's
+/// Combiner with the ring's tail as read after publishing, which is at or
+/// past its own reservation. The combiner holds the ring's consumer token
+/// (the engine's origin shard lock) and applies DrainRing bursts until the
+/// head passes that tail, other producers' events included. An earlier
+/// reservation still unpublished belongs to a producer that holds no lock
+/// and publishes within a few instructions, so that wait cannot deadlock.
+/// Before StartCombining pushes only queue; without a combiner the bus is
+/// a bounded queue its one consumer polls with DrainRing.
 class UpdateBus {
  public:
+  /// The owner's apply hook: under ring `ring`'s consumer token, applies
+  /// DrainRing(ring, ..., until) bursts until it returns 0.
+  using Combiner = std::function<void(size_t ring, uint64_t until)>;
+
   /// `capacity` is the per-ring logical bound (the backpressure contract);
   /// the default single ring makes the bus a drop-in bounded MPSC queue.
-  explicit UpdateBus(size_t capacity = 1024, size_t num_rings = 1);
+  explicit UpdateBus(size_t capacity = 1024, size_t num_rings = 1,
+                     Combiner combiner = nullptr);
 
   /// Enqueues `event`, blocking while its destination ring is full (every
   /// ring, for a kAllSources broadcast). Returns false (and drops the
-  /// event) when the bus has been closed.
+  /// event) when the bus has been closed. Combines as PushBatch does.
   bool Push(const UpdateEvent& event);
 
   /// Non-blocking variant: returns false when full or closed. A
   /// kAllSources broadcast is all-or-nothing — it fails without enqueuing
-  /// anything unless every ring has room.
+  /// anything unless every ring has room. Combines as PushBatch does.
   bool TryPush(const UpdateEvent& event);
 
   /// Batched blocking push: reserves each same-destination run of `events`
   /// with one credit acquisition and one tail reservation per ring
-  /// (chunked to the ring capacity), preserving the events' order.
+  /// (chunked to the ring capacity), preserving the events' order; when
+  /// combining, applies each run on this thread before pushing the next.
   /// Returns how many events were accepted — short only when the bus
-  /// closes mid-batch.
+  /// closes mid-batch. Precondition: the caller holds no lock (the
+  /// combiner takes a shard lock).
   size_t PushBatch(const UpdateEvent* events, size_t count);
 
-  /// Moves up to `max_batch` events from ONE ring into `*out` (cleared
-  /// first), round-robin across non-empty rings; `*source_ring` (optional)
-  /// receives the ring index, which is the shard index when the owner
-  /// built one ring per shard. Blocks until an event is available or the
-  /// bus is closed and fully drained; returns the number of events
-  /// delivered (0 only at shutdown). Single consumer by contract.
-  size_t PopBatch(std::vector<UpdateEvent>* out, size_t max_batch,
-                  size_t* source_ring = nullptr);
+  /// Moves up to `max_batch` published events of ring `ring` into `*out`
+  /// (cleared first) and returns their count; never parks. With nothing
+  /// published and the head below `until`, yields until the mid-publish
+  /// reservation lands; 0 means the head reached `until` and the ring is
+  /// empty. One consumer per ring at a time.
+  size_t DrainRing(size_t ring, std::vector<UpdateEvent>* out,
+                   size_t max_batch, uint64_t until = 0);
 
-  /// Closes the bus: subsequent pushes fail, and once the backlog drains
-  /// PopBatch returns 0.
+  /// Switches the bus to combining and drains every ring through the
+  /// combiner on the caller's thread. Returns true when combining (newly
+  /// or already); false, changing nothing, without a combiner or once
+  /// closed.
+  bool StartCombining();
+
+  /// Closes the bus: later pushes fail, parked producers wake, and a
+  /// combining bus drains what is left on the caller's thread.
   void Close();
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
+  bool combining() const { return combining_.load(std::memory_order_acquire); }
   /// Events currently queued across all rings (a broadcast counts once per
   /// ring it landed in).
   size_t size() const;
@@ -155,45 +174,44 @@ class UpdateBus {
   static bool TryAcquireCredits(Ring& ring, int64_t n);
   /// Blocking credit grab; fails only when the bus closes.
   bool AcquireCredits(Ring& ring, int64_t n);
-  /// Credits on EVERY ring (ascending order, deadlock-free because the
-  /// consumer never blocks on a producer); rolls back on failure.
+  /// Credits on EVERY ring (ascending order, deadlock-free because a
+  /// consumer never waits on a parked producer); rolls back on failure.
   bool AcquireBroadcastCredits(int64_t n, bool blocking);
   /// Reserves `n` cells with one tail.fetch_add and publishes `events`.
   static void WriteRange(Ring& ring, const UpdateEvent* events, size_t n);
-  /// One same-destination run: credits → reserve → publish → bookkeeping.
+  /// One same-destination run: credits → reserve → publish → combine.
   bool PushRun(const UpdateEvent* events, size_t n, bool broadcast,
                size_t ring_index, bool blocking);
-  /// Drains the contiguous published prefix of one ring (up to max_batch).
-  size_t DrainRing(Ring& ring, std::vector<UpdateEvent>* out,
-                   size_t max_batch);
-  /// Consumer-only: whether some ring's head cell is published.
-  bool AnyPublished() const;
-  /// Visits mu_, then wakes every waiter on `cv`: the one way the bus
-  /// wakes a waiter (see mu_ below). not_empty_ has one waiter at most.
-  void Wake(CondVar& cv);
+  /// Moves the contiguous published prefix of one ring (up to max_batch)
+  /// into `*out`, recycling the cells and returning the credits.
+  static size_t DrainPublished(Ring& ring, std::vector<UpdateEvent>* out,
+                               size_t max_batch);
+  /// Runs the combiner over every ring with no target: what is published.
+  void CombineAll();
+  /// Visits mu_, then wakes every waiter on not_full_: the one way the bus
+  /// wakes a parked producer (see mu_ below).
+  void WakeProducers();
 
   const size_t capacity_;  // logical per-ring bound
   std::deque<Ring> rings_;
-  size_t next_ring_ = 0;  // consumer-only round-robin cursor
+  const Combiner combiner_;
 
-  /// Parking lot only: producers with no credits and the idle consumer
-  /// wait here, untimed. A waiter re-checks the lock-free state under mu_
-  /// before each wait, and every state change that can end a wait visits
-  /// mu_ before it notifies, so no wake-up is lost. The queue state itself
-  /// is lock-free (rank kQueue — taken with no other lock held, never
-  /// before an engine lock).
+  /// Parking lot only: producers with no credits wait here, untimed. A
+  /// waiter re-checks the lock-free state under mu_ before each wait, and
+  /// every state change that can end a wait visits mu_ before it
+  /// notifies, so no wake-up is lost. Rank kQueue, the innermost: a
+  /// combiner returns credits, visiting mu_, under its origin shard lock.
   mutable Mutex mu_{LockRank::kQueue, "bus.mu"};
   CondVar not_full_;
-  CondVar not_empty_;
 
-  // contracts-lint: allow(raw-atomic) -- close/accept handshake state read
-  // on the lock-free push path: closed_ gates acceptance, pending_pushes_
-  // lets the consumer distinguish "drained" from "a producer is mid-
-  // reservation" at shutdown, total_pushed_ is the progress API the tests
-  // and drivers poll without the parking-lot lock.
+  // contracts-lint: allow(raw-atomic) -- close/combine handshake state read
+  // on the lock-free push path: closed_ gates acceptance; combining_ is
+  // one side of the publish/start store-buffering pair (seq_cst fences on
+  // both sides, see StartCombining); total_pushed_ is the progress API the
+  // tests and drivers poll without the parking-lot lock.
   std::atomic<bool> closed_{false};
+  std::atomic<bool> combining_{false};
   std::atomic<int64_t> total_pushed_{0};
-  std::atomic<int64_t> pending_pushes_{0};
 
   // Observability (read lock-free by snapshots). `enqueued_` counts
   // accepted events once (a broadcast is one event); `drained_` counts

@@ -90,13 +90,13 @@ void TimedRead(ThreadResult& local, double constraint, ReadCall read) {
 }
 
 /// The closed loop both drivers share. Populates the engine and begins
-/// measurement; with `run_updates`, starts the pump and an updater that
-/// pushes `burst()` tick-alls at a time (0 pauses it); runs `num_threads`
-/// workers, each of which waits for the updater's first burst and then
-/// runs `worker(ti, clock, local)`, issuing its reads through TimedRead;
-/// joins them; stops the pump, which closes the bus; ends measurement at
-/// the last accepted tick; and fills the fields both report types share
-/// for a run of `queries` reads.
+/// measurement; with `run_updates`, starts the update path and an updater
+/// that pushes `burst()` tick-alls at a time (0 pauses it); runs
+/// `num_threads` workers, each of which waits for the updater's first
+/// burst and then runs `worker(ti, clock, local)`, issuing its reads
+/// through TimedRead; joins them; stops the update path, closing the bus;
+/// ends measurement at the last accepted tick; and fills the fields both
+/// report types share for a run of `queries` reads.
 template <class Report, class Burst, class Worker>
 void RunClosedLoop(TieredEngine& engine, int num_threads, int64_t queries,
                    bool run_updates, Burst burst, Worker worker,
@@ -114,9 +114,9 @@ void RunClosedLoop(TieredEngine& engine, int num_threads, int64_t queries,
   // pushes a burst.
   std::atomic<bool> first_burst_done{!updates_running || burst() == 0};
   if (updates_running) {
-    // The updater streams tick-all events through the bus as fast as
-    // backpressure allows; a slow pump throttles it instead of the queue
-    // growing without bound (tick discipline: see PushTickBurst).
+    // The updater streams tick-all events through the bus, applying each
+    // burst itself before the next, so the apply cost throttles it (tick
+    // discipline: see PushTickBurst).
     updater = std::thread([&] {
       while (!stop_updates.load(std::memory_order_relaxed)) {
         const int n = burst();
@@ -151,7 +151,7 @@ void RunClosedLoop(TieredEngine& engine, int num_threads, int64_t queries,
   if (updates_running) {
     stop_updates.store(true, std::memory_order_relaxed);
     updater.join();
-    engine.StopUpdatePump();  // closes the bus and drains the backlog
+    engine.StopUpdatePump();  // closes the bus
   }
 
   // With no updates the measured period is 0 ticks; CostRate() then
@@ -506,9 +506,9 @@ SubscriptionDriverReport RunSubscriptionWorkload(
     });
   }
 
-  // The updater streams exactly `ticks` tick-all events, then stops; the
-  // pump applies them, each application publishing its interval changes to
-  // the subscription layer.
+  // The updater streams exactly `ticks` tick-all events, then stops; it
+  // applies each burst as it pushes it, each application publishing its
+  // interval changes to the subscription layer.
   bool updates_running = engine.StartUpdatePump();
   std::thread updater([&] {
     if (!updates_running) return;
@@ -525,7 +525,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
   // Control thread: churn (unsubscribe + fresh registration) and live
   // Reprecision, interleaved, until the quotas are spent. The run waits
   // for them, so the report counts exactly the configured operations
-  // however quickly the pump drains the ticks.
+  // however quickly the updater applies the ticks.
   std::thread control;
   if (config.churn_ops > 0 || config.reprecision_ops > 0) {
     control = std::thread([&] {
@@ -602,7 +602,7 @@ SubscriptionDriverReport RunSubscriptionWorkload(
 
   updater.join();
   if (control.joinable()) control.join();  // quotas spent
-  if (updates_running) engine.StopUpdatePump();  // drains the backlog
+  if (updates_running) engine.StopUpdatePump();  // closes the bus
   engine.subscriptions().WaitQuiescent();  // every change fully evaluated
   stop_checker.store(true, std::memory_order_relaxed);
   if (checker.joinable()) checker.join();

@@ -60,7 +60,7 @@ struct DriverConfig {
   int64_t queries_per_thread = 1000;
   QueryWorkloadParams workload;
   /// Streams source updates through the UpdateBus during the run. The
-  /// driver starts and stops the engine's pump thread itself.
+  /// driver starts and stops the engine's update path itself.
   bool run_updates = true;
   /// Tick-all events pushed per updater burst (bounded by bus capacity).
   int update_burst = 8;

@@ -170,7 +170,8 @@ void SubscriptionManager::ProcessBatch(const std::vector<int>& ids,
     Subscription* sub = table_.Find(sub_id);
     if (sub != nullptr) EvaluateLocked(*sub, now);
   }
-  // One hub reservation for the whole drained burst, not one per record.
+  // One hub reservation per escalation + 1 (EvaluateLocked flushes before
+  // each pull), not one per record.
   FlushOutboxLocked();
 }
 
@@ -247,6 +248,9 @@ void SubscriptionManager::EvaluateLocked(Subscription& sub, int64_t now) {
     int id = items[static_cast<size_t>(victim)].source_id;
     last_escalation_tick_[id] = now;
     counters_.escalations.fetch_add(1, std::memory_order_relaxed);
+    // Ship what is already decided before the pull waits for a shard
+    // lock, possibly behind a whole burst's apply.
+    FlushOutboxLocked();
     Interval fresh = host_->SubscriptionPull(id, now);
     for (auto& item : items) {
       if (item.source_id == id) item.interval = fresh;

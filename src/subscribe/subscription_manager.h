@@ -221,13 +221,14 @@ class SubscriptionManager {
   /// Recomputes `sub`'s answer from guaranteed-interval snapshots,
   /// escalating (at most once per value per tick, globally) while the
   /// answer is too wide, and stages a notification in `outbox_` per the
-  /// shipping rule. Callers flush via FlushOutboxLocked before releasing
-  /// mu_, so hub order == epoch order per subscription is preserved.
+  /// shipping rule. Flushes the outbox before each escalation's pull;
+  /// callers flush the rest before releasing mu_, so hub order == epoch
+  /// order per subscription is preserved.
   void EvaluateLocked(Subscription& sub, int64_t now) APC_REQUIRES(mu_);
-  /// Ships everything staged in `outbox_` with ONE hub reservation per
-  /// drained burst (NotificationHub::PushBatch) instead of one lock
-  /// round-trip per record, then clears the outbox. Counters and ship
-  /// traces cover exactly the accepted records, as per-record Push did.
+  /// Ships everything staged in `outbox_` with ONE hub reservation
+  /// (NotificationHub::PushBatch) instead of one lock round-trip per
+  /// record, then clears the outbox. Counters and ship traces cover
+  /// exactly the accepted records, as per-record Push did.
   void FlushOutboxLocked() APC_REQUIRES(mu_);
   /// The aggregate of `items` for `kind`.
   static Interval Answer(AggregateKind kind,

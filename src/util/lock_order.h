@@ -31,9 +31,8 @@ namespace apc {
 /// (the engines take shard/edge locks one at a time). The table mirrors
 /// docs/STATIC_ANALYSIS.md — update both together.
 enum class LockRank : uint16_t {
-  /// Pump/shutdown control mutexes (ShardedEngine::pump_mu_,
-  /// TieredEngine::pump_mu_, SubscriptionManager::shutdown_mu_): taken
-  /// first on start/stop paths that then close queues and join threads.
+  /// Shutdown control mutexes (SubscriptionManager::shutdown_mu_): taken
+  /// first on stop paths that then close queues and join threads.
   kControl = 10,
   /// SubscriptionManager::mu_ — taken before engine shard locks
   /// (SubscriptionWatch / SubscriptionPull / snapshot evaluation).
@@ -49,8 +48,9 @@ enum class LockRank : uint16_t {
   /// queue class below (shutdown drains).
   kSinkPending = 50,
   /// UpdateBus / NotificationHub internal mutexes: innermost of the
-  /// engine/subscription paths (pushed to under manager mutex, closed
-  /// under control mutexes).
+  /// engine/subscription paths (the bus's parking lot is visited by a
+  /// combiner under its origin shard lock; the hub is pushed to under the
+  /// manager mutex and closed under a control mutex).
   kQueue = 60,
   /// obs::SnapshotExporter::mu_ — the background writer's own state.
   kObsExporter = 70,

@@ -32,12 +32,13 @@
 namespace apc {
 
 /// How long a SharedMutex waiter keeps retrying with yields before it
-/// blocks. Under the perfbench workloads on a 4-vCPU host the pump's
-/// per-shard hold is p50/p90 10/16 us (point_hot), 22/31 us (tiered_geo)
-/// and 4/10 us (burst_write), and a futex wake-up took 17-36 us: a budget
-/// that covers a typical hold lets most waiters take the lock within
-/// microseconds of its release instead of one wake-up later, and a longer
-/// hold costs a parked waiter at most this much extra CPU.
+/// blocks. Under the perfbench workloads on a 4-vCPU host an update
+/// apply's per-shard hold was p50/p90 10/16 us (point_hot), 22/31 us
+/// (tiered_geo) and 4/10 us (burst_write), and a futex wake-up took
+/// 17-36 us: a budget that covers a typical hold lets most waiters take
+/// the lock within microseconds of its release instead of one wake-up
+/// later, and a longer hold costs a parked waiter at most this much extra
+/// CPU.
 inline constexpr std::chrono::microseconds kSharedMutexYieldBudget{20};
 
 /// std::mutex as a clang capability with lock-order validation.
@@ -73,12 +74,13 @@ class APC_CAPABILITY("mutex") Mutex {
 /// validator does not distinguish modes: reader/writer nesting across
 /// classes follows one partial order).
 ///
-/// Its users are the engine's shard locks (Shard::mu, EdgeShard::mu): the
-/// update pump holds one exclusively for a whole shard burst while pulls,
-/// escalations and aggregate pull batches queue behind it, and a waiter
-/// that blocked at once would sleep through a futex wake-up longer than
-/// most holds. So both modes try once, retry with a yield between
-/// attempts until kSharedMutexYieldBudget has passed, and only then block.
+/// Its users are the engine's shard locks (Shard::mu, EdgeShard::mu): a
+/// producer applying its update burst holds one exclusively for the whole
+/// burst while pulls, escalations, aggregate pull batches and other
+/// producers queue behind it, and a waiter that blocked at once would
+/// sleep through a futex wake-up longer than most holds. So both modes
+/// try once, retry with a yield between attempts until
+/// kSharedMutexYieldBudget has passed, and only then block.
 /// Yields, not a pause spin: spinners keep the holder and the notifier off
 /// the CPUs they need. The validator runs first, so an inversion aborts
 /// before any retry; nothing on this path allocates.

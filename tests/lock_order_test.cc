@@ -97,7 +97,7 @@ TEST(LockOrderTest, IncreasingRanksPassAndUnwind) {
   // The full sanctioned chain, one thread: control -> manager -> shard ->
   // edge -> pending -> queue, then the obs band. Must not abort, and the
   // held depth must track the scopes exactly.
-  Mutex control_mu(LockRank::kControl, "pump_mu");
+  Mutex control_mu(LockRank::kControl, "subs.shutdown_mu");
   Mutex manager_mu(LockRank::kSubscriptionManager, "subs.mu");
   SharedMutex shard_mu(LockRank::kEngineShard, "shard.mu");
   SharedMutex edge_mu(LockRank::kEdgeShard, "edge.mu");

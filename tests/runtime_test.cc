@@ -323,7 +323,7 @@ TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
   for (int64_t t = 1; t <= kTicks; ++t) {
     ASSERT_TRUE(via_tick_all.bus().Push({t, UpdateEvent::kAllSources}));
   }
-  via_tick_all.StopUpdatePump();  // drains the backlog before joining
+  via_tick_all.StopUpdatePump();
   via_tick_all.EndMeasurement(kTicks);
 
   ShardedEngine via_per_source(config, MakeSources(kSources));
@@ -349,9 +349,9 @@ TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
-// The pump applies a drained burst event by event under one hold. Pushing
-// the whole run before the pump starts makes each ring's first PopBatch a
-// multi-event burst that mixes tick-alls with single-id ticks, one id
+// The combiner applies a drained burst event by event under one hold.
+// Pushing the whole run before StartUpdatePump makes each ring's first
+// drain a multi-event burst that mixes tick-alls with single-id ticks, one id
 // twice in the same tick. With evictions and push loss on, every offer and
 // loss draw must land as in the same sequence applied synchronously. A
 // small alpha keeps widths from outgrowing the walk, so refreshes stay
@@ -388,8 +388,8 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
     ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
     for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
   }
-  ASSERT_TRUE(bursts.StartUpdatePump());
-  bursts.StopUpdatePump();  // drains the backlog before joining
+  ASSERT_TRUE(bursts.StartUpdatePump());  // applies the backlog
+  bursts.StopUpdatePump();
   bursts.EndMeasurement(kTicks);
 
   EngineCosts expected = lockstep.TotalCosts();
@@ -410,6 +410,94 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
             kTicks * static_cast<int64_t>(kSources + kSingles.size()));
 }
 
+// Flat combining with several producers on a 3-shard engine: four
+// threads push single-id ticks for disjoint id sets, each push applying
+// its own event before it returns. Once they join — before any Stop —
+// every event is applied, and without loss or eviction the result matches
+// a synchronous TickSource replay bit for bit.
+TEST(ShardedEngineTest, CombiningProducersMatchSynchronousTicks) {
+  constexpr int kSources = 24;
+  constexpr int kProducers = 4;
+  constexpr int64_t kTicks = 100;
+  EngineConfig config;
+  config.num_shards = 3;
+
+  ShardedEngine lockstep(config, MakeSources(kSources));
+  lockstep.PopulateInitial(0);
+  lockstep.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    for (int id = 0; id < kSources; ++id) lockstep.TickSource(id, t);
+  }
+  lockstep.EndMeasurement(kTicks);
+
+  ShardedEngine combined(config, MakeSources(kSources));
+  combined.PopulateInitial(0);
+  combined.BeginMeasurement(0);
+  ASSERT_TRUE(combined.StartUpdatePump());
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&combined, p] {
+      for (int64_t t = 1; t <= kTicks; ++t) {
+        for (int id = p; id < kSources; id += kProducers) {
+          ASSERT_TRUE(combined.bus().Push({t, id}));
+        }
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_EQ(combined.counters().updates_applied.load(), kSources * kTicks)
+      << "an event waited for a later push";
+  EXPECT_EQ(combined.bus().size(), 0u);
+  combined.EndMeasurement(kTicks);
+
+  EngineCosts expected = lockstep.TotalCosts();
+  EngineCosts actual = combined.TotalCosts();
+  EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
+  EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
+  EXPECT_EQ(actual.total_cost, expected.total_cost);
+  for (int id = 0; id < kSources; ++id) {
+    EXPECT_EQ(combined.regional_interval(id, kTicks),
+              lockstep.regional_interval(id, kTicks))
+        << "id " << id;
+    EXPECT_EQ(combined.regional_raw_width(id), lockstep.regional_raw_width(id))
+        << "id " << id;
+    EXPECT_EQ(combined.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
+  }
+  combined.StopUpdatePump();
+}
+
+// A broadcast racing StartUpdatePump is applied in every shard by the time
+// both calls return: the producer publishes then reads the combining
+// flag, Start sets the flag then drains, and the fences between make at
+// least one of them see the other. Looped, with both sides released
+// together, to land inside the window.
+TEST(ShardedEngineTest, CombiningStartRacingAPushAppliesIt) {
+  constexpr int kSources = 12;
+  constexpr int kRounds = 300;
+  EngineConfig config;
+  config.num_shards = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    ShardedEngine engine(config, MakeSources(kSources));
+    engine.PopulateInitial(0);
+    std::atomic<int> ready{0};
+    auto await_both = [&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+    };
+    std::thread producer([&] {
+      await_both();
+      EXPECT_TRUE(engine.bus().Push({1, UpdateEvent::kAllSources}));
+    });
+    await_both();
+    ASSERT_TRUE(engine.StartUpdatePump());
+    producer.join();
+    ASSERT_EQ(engine.counters().updates_applied.load(), kSources)
+        << "round " << round << ": the raced push was stranded";
+    engine.StopUpdatePump();
+  }
+}
+
 TEST(ShardedEngineTest, PumpCannotRestartAfterStop) {
   EngineConfig config;
   config.system.cache_capacity = 8;
@@ -419,7 +507,7 @@ TEST(ShardedEngineTest, PumpCannotRestartAfterStop) {
   EXPECT_TRUE(engine.StartUpdatePump());  // already running
   engine.StopUpdatePump();
   EXPECT_FALSE(engine.StartUpdatePump())
-      << "a closed bus must not silently feed a dead pump";
+      << "a closed bus must not reopen";
 
   // A driver run against the consumed engine still completes; it just sees
   // static values (no ticks).
@@ -454,7 +542,7 @@ TEST(ShardedEngineTest, PointReadPullsOnlyWhenTooWide) {
   EXPECT_EQ(engine.counters().queries_executed.load(), 2);
 }
 
-// Concurrency smoke: many query threads race the update pump; every result
+// Concurrency smoke: many query threads race the update path; every result
 // must still satisfy its precision constraint, and the atomic counters must
 // agree with the mutex-guarded cost trackers once quiescent.
 TEST(ShardedEngineTest, ConcurrentQueriesRespectPrecisionConstraints) {
@@ -488,8 +576,8 @@ TEST(ShardedEngineTest, ConcurrentQueriesRespectPrecisionConstraints) {
 }
 
 // An UpdateEvent carrying an id no shard owns once threw out of an id-map
-// lookup on the pump thread and terminated the process. It must be skipped
-// and counted instead.
+// lookup on the thread applying it and terminated the process. It must be
+// skipped and counted instead.
 TEST(ShardedEngineTest, UnknownSourceIdUpdatesAreSkippedAndCounted) {
   constexpr int kSources = 12;
   EngineConfig config;
@@ -502,7 +590,7 @@ TEST(ShardedEngineTest, UnknownSourceIdUpdatesAreSkippedAndCounted) {
   ASSERT_TRUE(engine.bus().Push({1, 500}));   // not a registered id
   ASSERT_TRUE(engine.bus().Push({1, 3}));     // valid
   ASSERT_TRUE(engine.bus().Push({2, -99}));   // negative, not kAllSources
-  engine.StopUpdatePump();  // drains; the pump thread must survive
+  engine.StopUpdatePump();  // the applying thread must survive
 
   EXPECT_EQ(engine.counters().rejected_updates.load(), 2);
   EXPECT_EQ(engine.counters().updates_applied.load(), 1);

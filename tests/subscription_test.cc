@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -557,7 +558,7 @@ TEST(SubscriptionTest, NoMissedViolationUnderConcurrentTicks) {
   EXPECT_GT(probes.load(), 0);
 }
 
-// Subscribing to ids no standing query covered before, while the pump
+// Subscribing to ids no standing query covered before, while a producer
 // applies ticks and the no-missed-violation checker races both. A new id
 // starts publishing its changes before the registration evaluation
 // snapshots it; were the order reversed, a change landing between the two
@@ -593,7 +594,7 @@ TEST(SubscriptionTest, SubscribeNewIdsWhileTicksApply) {
       engine.bus().Push({t, UpdateEvent::kAllSources});
     }
   });
-  // Spread the new registrations over the run: each waits for the pump
+  // Spread the new registrations over the run: each waits for the ticker
   // to reach its share of the ticks, then subscribes at the tick applied.
   auto applied_ticks = [&] {
     return engine.counters().updates_applied.load() / kSources;
@@ -723,6 +724,86 @@ TEST(SubscriptionTest, WatchFollowsPostingsAndPrecedesSnapshot) {
   host.log.clear();
   EXPECT_FALSE(manager.Unsubscribe(sub_second));
   EXPECT_TRUE(host.log.empty());
+}
+
+/// A host whose sources the test moves by hand, and whose escalation pull
+/// blocks on a latch once armed — a pull queued behind a long shard hold.
+class GatedHost : public SubscriptionHost {
+ public:
+  Interval SubscriptionSnapshot(int id, int64_t /*now*/) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return snapshots_.at(id);
+  }
+  Interval SubscriptionPull(int id, int64_t /*now*/) override {
+    if (armed_.load()) {
+      pull_entered_.store(true);
+      while (!released_.load()) std::this_thread::yield();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshots_[id] = Interval::Exact(snapshots_[id].lo());
+    return snapshots_[id];
+  }
+  bool SubscriptionOwns(int id) const override { return id >= 0 && id < 2; }
+  void SubscriptionWatch(const std::vector<int>& /*ids*/,
+                         bool /*watched*/) override {}
+
+  void Set(int id, const Interval& interval) {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshots_[id] = interval;
+  }
+  void Arm() { armed_.store(true); }
+  bool PullEntered() const { return pull_entered_.load(); }
+  void Release() { released_.store(true); }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<int, Interval> snapshots_{
+      {0, Interval::Exact(0.0)}, {1, Interval::Exact(0.0)}};
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> pull_entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+// The notifier ships what a batch already decided before an escalation
+// waits for a shard lock: sub 1 needs no escalation, sub 2 escalates, and
+// while sub 2's pull is blocked, sub 1's notification is in the hub.
+TEST(SubscriptionTest, DecidedNotificationsShipBeforeAnEscalationWaits) {
+  GatedHost host;
+  SubscriptionManager manager(&host, /*hub_capacity=*/16);
+  // Destroyed before the manager: a failed assertion must not leave the
+  // notifier blocked in the pull while the manager joins it.
+  struct ReleaseOnExit {
+    GatedHost& host;
+    ~ReleaseOnExit() { host.Release(); }
+  } release_on_exit{host};
+  const int64_t sub_plain = manager.Subscribe(PointQuery(0), 100.0, 0);
+  const int64_t sub_escalating = manager.Subscribe(PointQuery(1), 0.5, 0);
+  ASSERT_EQ(sub_plain, 1);
+  ASSERT_EQ(sub_escalating, 2);
+  ASSERT_EQ(DrainHub(manager.hub()).size(), 2u);
+
+  // Id 0 moves out of sub 1's answer; id 1 widens past sub 2's bound, and
+  // its pull lands outside sub 2's answer.
+  host.Set(0, Interval(10.0, 11.0));
+  host.Set(1, Interval(5.0, 15.0));
+  host.Arm();
+  manager.OnIntervalChanges({0, 1}, /*now=*/1);
+  while (!host.PullEntered()) std::this_thread::yield();
+
+  std::vector<Notification> shipped;
+  ASSERT_EQ(manager.hub().TryPopBatch(&shipped, 16), 1u)
+      << "sub 1's notification waited for sub 2's escalation";
+  EXPECT_EQ(shipped[0].sub_id, sub_plain);
+  EXPECT_EQ(shipped[0].epoch, 2);
+
+  host.Release();
+  manager.WaitQuiescent();
+  std::vector<Notification> rest = DrainHub(manager.hub());
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].sub_id, sub_escalating);
+  EXPECT_EQ(rest[0].epoch, 2);
+  EXPECT_EQ(rest[0].answer.Width(), 0.0);
+  manager.Shutdown();
 }
 
 // Shutdown must not block even when the hub is full and nobody drains:

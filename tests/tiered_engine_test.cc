@@ -278,10 +278,10 @@ TEST(TieredEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
-// The pump applies a drained burst event by event under one regional hold,
-// and a tick-all's fan-out must ship before the burst's next event.
-// Pushing the whole run before the pump starts makes each ring's first
-// PopBatch a multi-event burst that mixes tick-alls with single-id ticks,
+// The combiner applies a drained burst event by event under one regional
+// hold, and a tick-all's fan-out must ship before the burst's next event.
+// Pushing the whole run before StartUpdatePump makes each ring's first
+// drain a multi-event burst that mixes tick-alls with single-id ticks,
 // one id twice in the same tick. With WAN loss and edge evictions on,
 // every table must see the same offers in the same order as the same
 // sequence applied synchronously. A small alpha keeps widths from
@@ -319,8 +319,8 @@ TEST(TieredEngineTest, MultiEventBurstsMatchSynchronousTicks) {
     ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
     for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
   }
-  ASSERT_TRUE(bursts.StartUpdatePump());
-  bursts.StopUpdatePump();  // drains the backlog before joining
+  ASSERT_TRUE(bursts.StartUpdatePump());  // applies the backlog
+  bursts.StopUpdatePump();
   bursts.EndMeasurement(kTicks);
 
   for (auto [actual, expected] :
@@ -590,7 +590,8 @@ class ParkingStream : public UpdateStream {
 
 // Reads that no interval can serve — an unowned id or edge, or a NaN or
 // negative constraint — are rejected before any lock, so a stream of bad
-// reads never queues behind the pump on a shard's exclusive lock. Every
+// reads never queues behind an update's apply on a shard's exclusive
+// lock. Every
 // entry point must return while a TickAll holds the origin shard, in
 // every read mode, charge-free, counting each rejection.
 TEST(TieredEngineTest, RejectedReadsDoNotWaitForTheShardLock) {
@@ -640,6 +641,137 @@ TEST(TieredEngineTest, RejectedReadsDoNotWaitForTheShardLock) {
     EXPECT_EQ(counters.query_refreshes.load(), 0);
     EXPECT_EQ(engine.WanCosts().query_refreshes, 0) << "no charge";
     EXPECT_EQ(engine.LanCosts().query_refreshes, 0) << "no charge";
+  }
+}
+
+// Flat combining with several producers: four threads push single-id
+// ticks for disjoint id sets into a 2-shard engine. Each push applies its
+// own event before it returns, so once the producers join — before any
+// Stop — every event is applied. Without loss or eviction each id's
+// outcome depends only on its own event order, so intervals, raw widths
+// and costs match a synchronous TickSource replay bit for bit.
+TEST(TieredEngineTest, CombiningProducersMatchSynchronousTicks) {
+  constexpr int kSources = 16;
+  constexpr int kProducers = 4;
+  constexpr int kEdges = 2;
+  constexpr int64_t kTicks = 100;
+  TieredConfig config =
+      TieredFrom(SequentialConfig(kSources, kEdges), /*num_shards=*/2, kSeed);
+
+  TieredEngine lockstep(config, WalkStreams(kSources, kSeed ^ 0x77));
+  lockstep.PopulateInitial(0);
+  lockstep.BeginMeasurement(0);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    for (int id = 0; id < kSources; ++id) lockstep.TickSource(id, t);
+  }
+  lockstep.EndMeasurement(kTicks);
+
+  TieredEngine combined(config, WalkStreams(kSources, kSeed ^ 0x77));
+  combined.PopulateInitial(0);
+  combined.BeginMeasurement(0);
+  ASSERT_TRUE(combined.StartUpdatePump());
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&combined, p] {
+      for (int64_t t = 1; t <= kTicks; ++t) {
+        for (int id = p; id < kSources; id += kProducers) {
+          ASSERT_TRUE(combined.bus().Push({t, id}));
+        }
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_EQ(combined.counters().updates_applied.load(), kSources * kTicks)
+      << "an event waited for a later push";
+  EXPECT_EQ(combined.bus().size(), 0u);
+  combined.EndMeasurement(kTicks);
+
+  for (auto [actual, expected] :
+       {std::pair{combined.WanCosts(), lockstep.WanCosts()},
+        std::pair{combined.LanCosts(), lockstep.LanCosts()}}) {
+    EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
+    EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
+    EXPECT_EQ(actual.total_cost, expected.total_cost);
+  }
+  for (int id = 0; id < kSources; ++id) {
+    EXPECT_EQ(combined.regional_interval(id, kTicks),
+              lockstep.regional_interval(id, kTicks))
+        << "id " << id;
+    EXPECT_EQ(combined.regional_raw_width(id), lockstep.regional_raw_width(id))
+        << "id " << id;
+    for (int e = 0; e < kEdges; ++e) {
+      EXPECT_EQ(combined.edge_interval(e, id, kTicks),
+                lockstep.edge_interval(e, id, kTicks))
+          << "edge " << e << " id " << id;
+      EXPECT_EQ(combined.edge_raw_width(e, id), lockstep.edge_raw_width(e, id))
+          << "edge " << e << " id " << id;
+    }
+  }
+  combined.StopUpdatePump();
+}
+
+// A producer whose ring's shard lock is held — here by another producer's
+// apply, parked inside the origin hold — waits for it, and its push
+// returns only once its own event is applied.
+TEST(TieredEngineTest, CombiningProducerWaitsBehindAHeldShardLock) {
+  constexpr int kSources = 4;
+  ParkingGate gate;
+  auto streams = WalkStreams(kSources, kSeed ^ 0xCC);
+  streams[0] = std::make_unique<ParkingStream>(&gate);
+  TieredEngine engine(TieredFrom(SequentialConfig(kSources, 1),
+                                 /*num_shards=*/1, kSeed),
+                      std::move(streams));
+  engine.PopulateInitial(0);
+  ASSERT_TRUE(engine.StartUpdatePump());
+
+  gate.armed.store(true);
+  std::thread first([&] { EXPECT_TRUE(engine.bus().Push({1, 0})); });
+  while (!gate.parked.load()) std::this_thread::yield();
+  std::future<int64_t> second = std::async(std::launch::async, [&] {
+    EXPECT_TRUE(engine.bus().Push({1, 1}));
+    return engine.counters().updates_applied.load();
+  });
+  EXPECT_EQ(second.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "the second push returned while the shard lock was held";
+  EXPECT_EQ(engine.counters().updates_applied.load(), 0);
+  gate.released.store(true);
+  first.join();
+  EXPECT_EQ(second.get(), 2) << "the second push returned before its event "
+                             << "was applied";
+  EXPECT_EQ(engine.bus().size(), 0u);
+  engine.StopUpdatePump();
+}
+
+// A push racing StartUpdatePump is applied by the time both calls return:
+// the producer publishes then reads the combining flag, Start sets the
+// flag then drains, and the fences between make at least one of them see
+// the other. Looped, with both sides released together, to land inside
+// the window.
+TEST(TieredEngineTest, CombiningStartRacingAPushAppliesIt) {
+  constexpr int kSources = 4;
+  constexpr int kRounds = 300;
+  TieredConfig config =
+      TieredFrom(SequentialConfig(kSources, 1), /*num_shards=*/2, kSeed);
+  for (int round = 0; round < kRounds; ++round) {
+    TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0xDD));
+    engine.PopulateInitial(0);
+    std::atomic<int> ready{0};
+    auto await_both = [&ready] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+    };
+    std::thread producer([&] {
+      await_both();
+      EXPECT_TRUE(engine.bus().Push({1, round % kSources}));
+    });
+    await_both();
+    ASSERT_TRUE(engine.StartUpdatePump());
+    producer.join();
+    ASSERT_EQ(engine.counters().updates_applied.load(), 1)
+        << "round " << round << ": the raced push was stranded";
+    engine.StopUpdatePump();
   }
 }
 

@@ -3,17 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "util/mutex.h"
 
 namespace apc {
 namespace {
 
-TEST(UpdateBusTest, PopDeliversInFifoOrder) {
+TEST(UpdateBusTest, DrainDeliversInFifoOrder) {
   UpdateBus bus(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(bus.Push({i, i}));
   EXPECT_EQ(bus.size(), 5u);
   std::vector<UpdateEvent> batch;
-  EXPECT_EQ(bus.PopBatch(&batch, 16), 5u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 16), 5u);
   ASSERT_EQ(batch.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(batch[static_cast<size_t>(i)].now, i);
@@ -21,15 +24,18 @@ TEST(UpdateBusTest, PopDeliversInFifoOrder) {
   }
 }
 
-TEST(UpdateBusTest, PopBatchRespectsMaxBatch) {
+TEST(UpdateBusTest, DrainRingRespectsMaxBatch) {
   UpdateBus bus(16);
   for (int i = 0; i < 10; ++i) bus.Push({i, 0});
   std::vector<UpdateEvent> batch;
-  EXPECT_EQ(bus.PopBatch(&batch, 4), 4u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 4), 4u);
   EXPECT_EQ(batch.front().now, 0);
-  EXPECT_EQ(bus.PopBatch(&batch, 4), 4u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 4), 4u);
   EXPECT_EQ(batch.front().now, 4);
-  EXPECT_EQ(bus.PopBatch(&batch, 4), 2u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 4), 2u);
+  // Non-blocking: an empty ring answers 0 at once.
+  EXPECT_EQ(bus.DrainRing(0, &batch, 4), 0u);
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(UpdateBusTest, TryPushFailsWhenFull) {
@@ -38,11 +44,11 @@ TEST(UpdateBusTest, TryPushFailsWhenFull) {
   EXPECT_TRUE(bus.TryPush({2, 0}));
   EXPECT_FALSE(bus.TryPush({3, 0}));
   std::vector<UpdateEvent> batch;
-  bus.PopBatch(&batch, 1);
+  bus.DrainRing(0, &batch, 1);
   EXPECT_TRUE(bus.TryPush({3, 0}));
 }
 
-TEST(UpdateBusTest, CloseDrainsBacklogThenReturnsZero) {
+TEST(UpdateBusTest, CloseKeepsTheBacklogDrainable) {
   UpdateBus bus(8);
   bus.Push({1, 0});
   bus.Push({2, 0});
@@ -50,8 +56,8 @@ TEST(UpdateBusTest, CloseDrainsBacklogThenReturnsZero) {
   EXPECT_FALSE(bus.Push({3, 0}));
   EXPECT_FALSE(bus.TryPush({3, 0}));
   std::vector<UpdateEvent> batch;
-  EXPECT_EQ(bus.PopBatch(&batch, 16), 2u);
-  EXPECT_EQ(bus.PopBatch(&batch, 16), 0u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 16), 2u);
+  EXPECT_EQ(bus.DrainRing(0, &batch, 16), 0u);
   EXPECT_TRUE(bus.closed());
 }
 
@@ -82,8 +88,8 @@ TEST(UpdateBusTest, MultipleProducersDeliverEverything) {
   int received = 0;
   std::vector<UpdateEvent> batch;
   while (received < kProducers * kPerProducer) {
-    size_t n = bus.PopBatch(&batch, 64);
-    ASSERT_GT(n, 0u);
+    size_t n = bus.DrainRing(0, &batch, 64);
+    if (n == 0) std::this_thread::yield();
     for (const UpdateEvent& e : batch) {
       // Per-producer FIFO: each producer's events arrive in push order.
       EXPECT_EQ(e.now, per_producer[static_cast<size_t>(e.source_id)]++);
@@ -106,7 +112,7 @@ TEST(UpdateBusTest, WraparoundKeepsFifoOrder) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(bus.Push({next_expected + i, 0}));
     }
-    ASSERT_EQ(bus.PopBatch(&batch, 8), 3u);
+    ASSERT_EQ(bus.DrainRing(0, &batch, 8), 3u);
     for (const UpdateEvent& e : batch) {
       EXPECT_EQ(e.now, next_expected++);
     }
@@ -139,8 +145,8 @@ TEST(UpdateBusTest, MultiProducerBatchReservationStaysContiguous) {
   std::vector<UpdateEvent> drained;
   std::vector<UpdateEvent> batch;
   while (received < kProducers * kBatches * kBatchSize) {
-    size_t n = bus.PopBatch(&batch, 256);
-    ASSERT_GT(n, 0u);
+    size_t n = bus.DrainRing(0, &batch, 256);
+    if (n == 0) std::this_thread::yield();
     drained.insert(drained.end(), batch.begin(), batch.end());
     received += static_cast<int>(n);
   }
@@ -165,15 +171,10 @@ TEST(UpdateBusTest, BroadcastLandsInEveryRing) {
   EXPECT_EQ(bus.total_pushed(), 1);
   EXPECT_EQ(bus.size(), 4u);
   std::vector<UpdateEvent> batch;
-  bool seen[4] = {false, false, false, false};
-  for (int i = 0; i < 4; ++i) {
-    size_t ring = 0;
-    ASSERT_EQ(bus.PopBatch(&batch, 8, &ring), 1u);
+  for (size_t ring = 0; ring < 4; ++ring) {
+    ASSERT_EQ(bus.DrainRing(ring, &batch, 8), 1u) << "ring " << ring;
     EXPECT_EQ(batch.front().now, 7);
     EXPECT_EQ(batch.front().source_id, UpdateEvent::kAllSources);
-    ASSERT_LT(ring, 4u);
-    EXPECT_FALSE(seen[ring]) << "ring " << ring << " drained twice";
-    seen[ring] = true;
   }
   EXPECT_EQ(bus.size(), 0u);
 }
@@ -195,9 +196,9 @@ TEST(UpdateBusTest, TryPushBroadcastIsAllOrNothing) {
   EXPECT_EQ(bus.size(), 2u);
 }
 
-// Close-drains semantics on a multi-ring bus: the backlog of every ring
-// (including broadcast copies) drains, then PopBatch returns 0 and new
-// pushes of every flavor are refused.
+// Close on a multi-ring bus without a combiner: new pushes of every flavor
+// are refused, and the backlog of every ring (including broadcast copies)
+// stays drainable.
 TEST(UpdateBusTest, MultiRingCloseDrainsBacklogThenReturnsZero) {
   UpdateBus bus(8, /*num_rings=*/3);
   int id_ring0 = 0;
@@ -212,42 +213,20 @@ TEST(UpdateBusTest, MultiRingCloseDrainsBacklogThenReturnsZero) {
   // Backlog: 1 per-source event + 3 broadcast copies.
   size_t drained = 0;
   std::vector<UpdateEvent> batch;
-  for (size_t n = 0; (n = bus.PopBatch(&batch, 16)) > 0;) drained += n;
+  for (size_t ring = 0; ring < 3; ++ring) {
+    drained += bus.DrainRing(ring, &batch, 16);
+    EXPECT_EQ(bus.DrainRing(ring, &batch, 16), 0u);
+  }
   EXPECT_EQ(drained, 4u);
-  EXPECT_EQ(bus.PopBatch(&batch, 16), 0u);
   EXPECT_EQ(bus.total_pushed(), 2);
 }
 
-// The bus's waits are untimed, so a lost wake-up is a hang, and ctest's
-// timeout fails the suite. A single-event ping-pong makes every round trip
-// a hand-off to a consumer blocked in PopBatch, on both buses. The race a
-// missing re-check or mu_ visit opens is a few instructions wide, so these
-// runs hit it only now and then; what they pin every time is the hand-off.
-TEST(UpdateBusTest, PingPongWakesAConsumerBlockedInPopBatch) {
-  constexpr int kRoundTrips = 20000;
-  UpdateBus ping(1);
-  UpdateBus pong(1);
-  std::thread echo([&] {
-    std::vector<UpdateEvent> batch;
-    while (ping.PopBatch(&batch, 1) == 1) {
-      if (!pong.Push(batch.front())) break;
-    }
-    pong.Close();
-  });
-  std::vector<UpdateEvent> batch;
-  int completed = 0;
-  while (completed < kRoundTrips && ping.Push({completed, 0}) &&
-         pong.PopBatch(&batch, 1) == 1 && batch.front().now == completed) {
-    ++completed;
-  }
-  ping.Close();
-  echo.join();
-  EXPECT_EQ(completed, kRoundTrips);
-}
-
-// The credit side of the same hand-off: a one-slot ring is full after
-// every push, so the producer waits for credits on nearly every event and
-// only the consumer's credit return can wake it.
+// The producer parking lot's waits are untimed, so a lost wake-up is a
+// hang, and ctest's timeout fails the suite. A one-slot ring is full after
+// every push, so the producer parks for credits on nearly every event and
+// only the polling consumer's credit return can wake it. The race a
+// missing re-check or mu_ visit opens is a few instructions wide, so this
+// hits it only now and then; what it pins every time is the hand-off.
 TEST(UpdateBusTest, PingPongWakesAProducerParkedOnAFullRing) {
   constexpr int kEvents = 20000;
   UpdateBus bus(1);
@@ -257,13 +236,162 @@ TEST(UpdateBusTest, PingPongWakesAProducerParkedOnAFullRing) {
   });
   std::vector<UpdateEvent> batch;
   int received = 0;
-  while (received < kEvents && bus.PopBatch(&batch, 1) == 1 &&
-         batch.front().now == received) {
+  while (received < kEvents) {
+    if (bus.DrainRing(0, &batch, 1) == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (batch.front().now != received) break;
     ++received;
   }
   bus.Close();
   producer.join();
   EXPECT_EQ(received, kEvents);
+}
+
+// A combining bus's consumer for the bus-level tests: a token (standing
+// in for the engine's shard lock) and, per ring, what was applied and on
+// which thread.
+class RecordingConsumer {
+ public:
+  explicit RecordingConsumer(size_t rings) : applied_(rings) {}
+
+  /// The bus's Combiner: drains `ring` under the token, four at a time.
+  void Combine(UpdateBus& bus, size_t ring, uint64_t until) {
+    MutexLock lock(token_);
+    std::vector<UpdateEvent> burst;
+    while (bus.DrainRing(ring, &burst, 4, until) > 0) {
+      for (const UpdateEvent& e : burst) {
+        applied_[ring].push_back({e, std::this_thread::get_id()});
+      }
+    }
+  }
+  /// Ring `ring`'s applied events with the applying thread, in order.
+  std::vector<std::pair<UpdateEvent, std::thread::id>> Applied(size_t ring) {
+    MutexLock lock(token_);
+    return applied_[ring];
+  }
+
+ private:
+  Mutex token_{LockRank::kEngineShard, "test.token"};
+  std::vector<std::vector<std::pair<UpdateEvent, std::thread::id>>> applied_
+      APC_GUARDED_BY(token_);
+};
+
+// Until StartCombining, pushes only queue. Start applies the backlog on
+// its caller's thread; from then on a push is applied by its own thread
+// before it returns, a broadcast in every ring.
+TEST(UpdateBusTest, CombiningAppliesOnThePushingThread) {
+  RecordingConsumer consumer(2);
+  UpdateBus bus(8, 2, [&](size_t ring, uint64_t until) {
+    consumer.Combine(bus, ring, until);
+  });
+  int id_ring1 = 0;
+  while (bus.RingOf(id_ring1) != 1) ++id_ring1;
+  ASSERT_TRUE(bus.Push({1, id_ring1}));
+  EXPECT_TRUE(consumer.Applied(1).empty());
+  EXPECT_EQ(bus.size(), 1u);
+
+  ASSERT_TRUE(bus.StartCombining());
+  EXPECT_TRUE(bus.combining());
+  EXPECT_EQ(bus.size(), 0u);
+  ASSERT_EQ(consumer.Applied(1).size(), 1u);
+  EXPECT_EQ(consumer.Applied(1)[0].second, std::this_thread::get_id());
+
+  std::thread::id producer_id;
+  std::thread producer([&] {
+    producer_id = std::this_thread::get_id();
+    UpdateEvent events[2] = {{2, UpdateEvent::kAllSources}, {3, id_ring1}};
+    EXPECT_EQ(bus.PushBatch(events, 2), 2u);
+    // Applied before PushBatch returned, on this thread.
+    EXPECT_EQ(bus.size(), 0u);
+  });
+  producer.join();
+  std::vector<std::pair<UpdateEvent, std::thread::id>> ring0 =
+      consumer.Applied(0);
+  std::vector<std::pair<UpdateEvent, std::thread::id>> ring1 =
+      consumer.Applied(1);
+  ASSERT_EQ(ring0.size(), 1u);
+  ASSERT_EQ(ring1.size(), 3u);
+  EXPECT_EQ(ring0[0].first.now, 2);
+  EXPECT_EQ(ring1[1].first.now, 2);
+  EXPECT_EQ(ring1[2].first.now, 3);
+  EXPECT_EQ(ring0[0].second, producer_id);
+  EXPECT_EQ(ring1[2].second, producer_id);
+
+  // TryPush combines too.
+  ASSERT_TRUE(bus.TryPush({4, id_ring1}));
+  EXPECT_EQ(consumer.Applied(1).size(), 4u);
+}
+
+// Start is single-use per bus: a bus without a combiner never combines,
+// and a closed bus never starts. Close on a combining bus applies what is
+// left; later pushes fail.
+TEST(UpdateBusTest, StartCombiningNeedsACombinerAndAnOpenBus) {
+  UpdateBus plain(8);
+  EXPECT_FALSE(plain.StartCombining());
+  EXPECT_FALSE(plain.combining());
+
+  RecordingConsumer consumer(1);
+  UpdateBus bus(8, 1, [&](size_t ring, uint64_t until) {
+    consumer.Combine(bus, ring, until);
+  });
+  ASSERT_TRUE(bus.StartCombining());
+  EXPECT_TRUE(bus.StartCombining());  // already combining
+  ASSERT_TRUE(bus.Push({1, 0}));
+  bus.Close();
+  EXPECT_FALSE(bus.Push({2, 0}));
+  EXPECT_FALSE(bus.StartCombining());
+  EXPECT_EQ(consumer.Applied(0).size(), 1u);
+
+  UpdateBus closed_first(8, 1, [&](size_t, uint64_t) {});
+  closed_first.Close();
+  EXPECT_FALSE(closed_first.StartCombining());
+}
+
+// No stranded event: with producers racing on one ring, each push returns
+// only after its own event was applied — by itself, or by whichever
+// producer held the token when it was published — and per-producer FIFO
+// order survives.
+TEST(UpdateBusTest, RacingProducersReturnOnlyOnceTheirEventIsApplied) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  Mutex token{LockRank::kEngineShard, "test.token"};
+  std::vector<int64_t> last_applied(kProducers, -1);  // guarded by token
+  int64_t order_breaks = 0;                           // guarded by token
+  UpdateBus bus(4, 1, [&](size_t ring, uint64_t until) {
+    MutexLock lock(token);
+    std::vector<UpdateEvent> burst;
+    while (bus.DrainRing(ring, &burst, 4, until) > 0) {
+      for (const UpdateEvent& e : burst) {
+        int64_t& last = last_applied[static_cast<size_t>(e.source_id)];
+        if (e.now != last + 1) ++order_breaks;
+        last = e.now;
+      }
+    }
+  });
+  ASSERT_TRUE(bus.StartCombining());
+  std::vector<int> stranded(kProducers, 0);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_TRUE(bus.Push({i, p}));
+        MutexLock lock(token);
+        if (last_applied[static_cast<size_t>(p)] < i) {
+          ++stranded[static_cast<size_t>(p)];
+        }
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  MutexLock lock(token);
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(stranded[static_cast<size_t>(p)], 0) << "producer " << p;
+    EXPECT_EQ(last_applied[static_cast<size_t>(p)], kPerProducer - 1);
+  }
+  EXPECT_EQ(order_breaks, 0);
+  EXPECT_EQ(bus.size(), 0u);
 }
 
 }  // namespace
