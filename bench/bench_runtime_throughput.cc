@@ -23,16 +23,12 @@
 // ratio flips mid-run, exercising the adaptive δ policies under regime
 // change.
 //
-// Part 4 measures the batched update rings themselves: a raw-bus drain
-// race (a polling consumer draining each ring with max_batch 256 vs 1
-// against the identical producer stream — the whole-burst drain the
-// engine's combiner uses vs a per-event consumer), and an update-heavy
-// driver run whose bus.drain_batch_size histogram is snapshotted from the
-// obs registry into the committed trajectory.
+// Part 4 runs the update path under an update-heavy driver load and
+// snapshots its bus.drain_batch_size histogram (events applied per
+// shard-lock hold) from the obs registry into the committed trajectory.
 //
 // Usage: bench_runtime_throughput [queries_per_thread] [num_sources] [out.json]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,7 +42,6 @@
 #include "obs/metrics.h"
 #include "query/query_gen.h"
 #include "runtime/sharded_engine.h"
-#include "runtime/update_bus.h"
 #include "runtime/workload_driver.h"
 
 namespace {
@@ -200,59 +195,6 @@ DriverReport RunMedian(int repeats, ReadLockMode mode, double zipf_s,
   return reports[median];
 }
 
-/// End-to-end events/sec through a raw multi-ring bus: one producer
-/// pushing fixed 64-event batches (one destination per batch, so each
-/// PushBatch is a single contiguous reservation), one consumer polling
-/// the rings round-robin with DrainRing at the given max_batch. max_batch
-/// 256 is the combiner's whole-burst drain; max_batch 1 simulates a
-/// one-event-per-lock-acquisition consumer. Returns events/sec, or a
-/// negative count on lost events.
-double DrainThroughput(size_t max_batch, int64_t total_batches) {
-  constexpr size_t kRings = 4;
-  constexpr size_t kBatch = 64;
-  constexpr int kIds = 16;
-  UpdateBus bus(1024, kRings);
-  auto start = std::chrono::steady_clock::now();
-  std::thread producer([&bus, total_batches] {
-    UpdateEvent events[kBatch];
-    for (int64_t b = 0; b < total_batches; ++b) {
-      int id = static_cast<int>(b % kIds);
-      for (size_t j = 0; j < kBatch; ++j) {
-        events[j] = {b * static_cast<int64_t>(kBatch) + static_cast<int64_t>(j),
-                     id};
-      }
-      bus.PushBatch(events, kBatch);  // blocking: backpressure is real
-    }
-    bus.Close();
-  });
-  const int64_t expected = total_batches * static_cast<int64_t>(kBatch);
-  int64_t drained = 0;
-  std::vector<UpdateEvent> batch;
-  // Polls until every event arrived, or a full sweep that began after the
-  // producer closed the bus found nothing (lost events then show as a
-  // shortfall). The producer closes after its last publish, so a sweep
-  // that saw the close first misses no event.
-  size_t idle = 0;  // consecutive empty rings
-  bool closed_before_sweep = false;
-  for (size_t ring = 0; drained < expected; ring = (ring + 1) % kRings) {
-    if (idle == 0) closed_before_sweep = bus.closed();
-    size_t n = bus.DrainRing(ring, &batch, max_batch);
-    drained += static_cast<int64_t>(n);
-    idle = n > 0 ? 0 : idle + 1;
-    if (idle == kRings) {
-      if (closed_before_sweep) break;
-      std::this_thread::yield();
-      idle = 0;
-    }
-  }
-  double wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  producer.join();
-  if (drained != expected) return static_cast<double>(drained - expected);
-  return static_cast<double>(drained) / wall;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -396,38 +338,11 @@ int main(int argc, char** argv) {
         .Int("violations", r.violations);
   }
 
-  bench::Banner("RUNTIME-4", "batched update rings: drain granularity");
-  bench::Note("raw bus, identical producer stream; polling consumer "
-              "max_batch 256 (the combiner's whole-burst drain) vs 1 "
-              "(per-event consumer)");
-  bool bus_drain_complete = true;
+  bench::Banner("RUNTIME-4", "update path: events applied per shard-lock hold");
   {
-    const int64_t drain_batches = std::max<int64_t>(
-        200, queries_per_thread / 4);  // scale with the smoke knob
-    double batched_eps = DrainThroughput(/*max_batch=*/256, drain_batches);
-    double per_event_eps = DrainThroughput(/*max_batch=*/1, drain_batches);
-    bus_drain_complete = batched_eps > 0.0 && per_event_eps > 0.0;
-    std::printf("  batched  (max_batch 256): %12.0f events/s\n"
-                "  per-event (max_batch  1): %12.0f events/s  "
-                "(batched %+.1f%%)\n",
-                batched_eps, per_event_eps,
-                per_event_eps > 0.0
-                    ? 100.0 * (batched_eps - per_event_eps) / per_event_eps
-                    : 0.0);
-    for (int pass = 0; pass < 2; ++pass) {
-      report.AddRun()
-          .Str("scenario", "bus_drain")
-          .Int("consumer_max_batch", pass == 0 ? 256 : 1)
-          .Int("rings", 4)
-          .Int("producer_batch", 64)
-          .Int("events", drain_batches * 64)
-          .Num("events_per_second", pass == 0 ? batched_eps : per_event_eps);
-    }
-
-    // The update path under real load: an update-heavy driver run, then
-    // the bus.drain_batch_size histogram lifted from the obs registry —
-    // the committed evidence that the combiner drains multi-event bursts
-    // per shard lock acquisition rather than one event at a time.
+    // An update-heavy driver run, then the bus.drain_batch_size histogram
+    // lifted from the obs registry: each burst of 64 tick-alls is one run,
+    // applied on every shard under one lock hold.
     EngineConfig config;
     config.num_shards = 8;
     config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
@@ -535,9 +450,6 @@ int main(int argc, char** argv) {
   bench::Note(seqlock_holds
                   ? "seqlock read path >= shared-lock path at 8 threads"
                   : "seqlock read path LOST to shared locks at 8 threads");
-  bench::Note(bus_drain_complete
-                  ? "bus drain: every pushed event was delivered exactly once"
-                  : "bus drain: EVENTS LOST OR DUPLICATED (BUG)");
   {
     char scaling_note[160];
     if (scaling_gated) {
@@ -554,7 +466,7 @@ int main(int argc, char** argv) {
     bench::Note(scaling_note);
   }
   return (deterministic && total_violations == 0 && concurrent_progress &&
-          bus_drain_complete && scaling_ok && wrote)
+          scaling_ok && wrote)
              ? 0
              : 1;
 }

@@ -1,9 +1,9 @@
 // Concurrent serving demo: the adaptive-precision protocol under load.
 //
 // A fleet of 64 "sensors" (random walks) feeds a 4-shard runtime engine.
-// An updater thread streams sensor updates through the UpdateBus while four
-// client threads issue precision-bounded aggregate queries and point reads
-// concurrently. Each client's precision constraint is honored no matter how
+// An updater thread pushes sensor updates through the UpdateBus, applying
+// each burst on its own thread, while four client threads issue
+// precision-bounded aggregate queries and point reads concurrently. Each client's precision constraint is honored no matter how
 // the threads interleave, and the per-value adaptive width policy keeps
 // tuning itself to minimize refresh cost — exactly the paper's protocol,
 // now multiplexed across threads.
@@ -26,7 +26,7 @@ int main() {
   auto sources = BuildRandomWalkSources(kSensors, RandomWalkParams{}, policy,
                                         /*seed=*/42);
 
-  // 2. The runtime: sources hash-partitioned across 4 mutex-guarded shards
+  // 2. The runtime: sources hash-partitioned across 4 lock-guarded shards
   //    sharing a cache of capacity 48 (so some values stay uncached and
   //    queries must pull them exactly).
   EngineConfig config;
@@ -43,7 +43,8 @@ int main() {
 
   // 3. The load: 4 closed-loop client threads, 5000 queries each — a mix of
   //    bounded SUMs over 10 sensors, bounded MAX/MIN, and point reads —
-  //    racing an updater that streams sensor ticks through the UpdateBus.
+  //    racing an updater that pushes sensor ticks through the UpdateBus and
+  //    applies them itself, shard by shard.
   DriverConfig driver;
   driver.num_threads = 4;
   driver.queries_per_thread = 5000;

@@ -6,8 +6,8 @@
 #   scripts/check.sh --no-bench # tier-1 only
 #   scripts/check.sh --tsan     # rebuild with -DAPC_SANITIZE=thread and rerun
 #                               # the concurrency tests under ThreadSanitizer,
-#                               # then repeat the update bus's combining
-#                               # tests 20 times
+#                               # then repeat the concurrent-producer tests
+#                               # 20 times
 #   scripts/check.sh --asan     # rebuild with -DAPC_SANITIZE=address and rerun
 #                               # the subscribe + runtime suites under
 #                               # AddressSanitizer
@@ -89,13 +89,21 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
         --timeout "$CTEST_TIMEOUT" -R "$CONCURRENCY_SUITES"
-  # The combining protocol's races are a few instructions wide: a stranded
-  # event or a missed start/publish fence shows only now and then, so its
-  # tests run again, repeated until one fails.
+  # Producers racing each other, a held shard lock or a Close interleave
+  # differently on every run, so their tests run again, repeated until one
+  # fails. GoogleTest runs zero tests for a filter that matches none and
+  # still passes, so each suite's selection is counted first.
+  PRODUCER_FILTER='*ConcurrentProducer*'
   for suite in update_bus_test runtime_test tiered_engine_test; do
+    selected=$("build-tsan/$suite" --gtest_list_tests \
+                 --gtest_filter="$PRODUCER_FILTER" | grep -c '^  ' || true)
+    if [[ "$selected" -eq 0 ]]; then
+      echo "check.sh[$MODE]: $suite: '$PRODUCER_FILTER' selects no test" >&2
+      exit 1
+    fi
     timeout "$CTEST_TIMEOUT" "build-tsan/$suite" --gtest_repeat=20 \
       --gtest_break_on_failure --gtest_brief=1 \
-      --gtest_filter='*Combining*:*RacingProducers*:*PingPong*'
+      --gtest_filter="$PRODUCER_FILTER"
   done
   pass "concurrency tests clean under ThreadSanitizer"
 fi

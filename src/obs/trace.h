@@ -51,8 +51,8 @@ enum class TraceEvent : uint8_t {
   kSharedFallback,    // id = source (or -1 for a batch), arg = torn count
   kEscalateRegional,  // id = source escalating edge -> regional (kFull)
   kEscalateSource,    // id = source escalating regional -> source (kFull)
-  kBusEnqueue,        // id = source, arg = depth after enqueue (kFull only)
-  kBusDrainBatch,     // id = -1, arg = batch size
+  kBusEnqueue,        // id = source accepted by the bus (kFull only)
+  kBusDrainBatch,     // id = -1, arg = events of a run applied to a shard
   kOfferApplied,      // id = refreshed source (kFull only)
   kOfferChargedLost,  // id = source charged for a push lost in transit
   kNotifyEvaluate,    // id = -1, arg = sub id being re-evaluated

@@ -10,7 +10,6 @@
 #include "core/interval.h"
 #include "core/protocol_table.h"
 #include "obs/metrics.h"
-#include "runtime/update_bus.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -162,9 +161,6 @@ struct Shard {
   /// construction — a pass delivers at most that — so the update path
   /// allocates nothing.
   std::vector<PendingFanOut> fan_out APC_GUARDED_BY(mu);
-  /// The burst a combiner drained from this shard's bus ring (exclusive
-  /// scratch), reserved to the engine's burst bound at construction.
-  std::vector<UpdateEvent> burst APC_GUARDED_BY(mu);
 };
 
 }  // namespace apc

@@ -28,7 +28,6 @@ TieredEngine::Layout ShardedEngine::ShardedLayout(
   tiered.regional_capacity = capacity;
   tiered.wan_push_loss = config.system.push_loss_probability;
   tiered.read_lock_mode = config.read_lock_mode;
-  tiered.bus_capacity = config.bus_capacity < 1 ? 1 : config.bus_capacity;
   tiered.subscription_hub_capacity = config.subscription_hub_capacity;
   tiered.seed = config.seed;
   layout.sources = std::move(sources);

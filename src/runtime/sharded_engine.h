@@ -18,10 +18,6 @@ struct EngineConfig {
   SystemConfig system;
   int num_shards = 1;
   uint64_t seed = 0;
-  /// Per-ring capacity of the update bus (backpressure bound for
-  /// producers; the bus keeps one ring per shard). Must be positive: a
-  /// zero-capacity bus would block every producer forever.
-  size_t bus_capacity = 1024;
   /// How snapshot reads acquire shards (see ReadLockMode): optimistic
   /// per-entry seqlock validation by default; kShared is the bench
   /// baseline the seqlock path is measured against.
@@ -31,14 +27,13 @@ struct EngineConfig {
   size_t subscription_hub_capacity = 1024;
 
   /// Full validation, checked at engine construction so a bad
-  /// configuration is rejected up front instead of failing later
-  /// (a 0-capacity bus deadlocks producers; more shards than cache
-  /// capacity leaves shards with a zero-entry cache slice; a loss
-  /// probability outside [0, 1] breaks the Bernoulli draw).
+  /// configuration is rejected up front instead of failing later (more
+  /// shards than cache capacity leaves shards with a zero-entry cache
+  /// slice; a loss probability outside [0, 1] breaks the Bernoulli draw).
   bool IsValid() const {
     return num_shards > 0 &&
            static_cast<size_t>(num_shards) <= system.cache_capacity &&
-           bus_capacity > 0 && subscription_hub_capacity > 0 &&
+           subscription_hub_capacity > 0 &&
            system.costs.IsValid() &&
            system.push_loss_probability >= 0.0 &&
            system.push_loss_probability <= 1.0;
@@ -57,13 +52,13 @@ class ShardedEngine : public TieredEngine {
  public:
   /// Takes ownership of `sources`; each is routed to its shard by id hash.
   /// `config` must satisfy EngineConfig::IsValid() — asserted in debug
-  /// builds; in release the shard count is clamped into [1, χ] and the
-  /// bus capacity to at least 1, per the no-exceptions contract. Sources
-  /// that are null, carry a duplicate id, or carry a precision policy with
-  /// an invalid configuration are rejected here — counted in
-  /// RuntimeCounters::rejected_sources — instead of corrupting a run
-  /// later. The registry names its tallies "engine." / "read.", the bus
-  /// "bus.", and the subscription layer "subs.".
+  /// builds; in release the shard count is clamped into [1, χ], per the
+  /// no-exceptions contract. Sources that are null, carry a duplicate id,
+  /// or carry a precision policy with an invalid configuration are
+  /// rejected here — counted in RuntimeCounters::rejected_sources —
+  /// instead of corrupting a run later. The registry names its tallies
+  /// "engine." / "read.", the bus "bus.", and the subscription layer
+  /// "subs.".
   ShardedEngine(const EngineConfig& config,
                 std::vector<std::unique_ptr<Source>> sources);
 

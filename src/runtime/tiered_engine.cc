@@ -67,12 +67,6 @@ void NoteSharedFallback(RuntimeCounters& counters, int id, int64_t now,
                              torn_count);
 }
 
-/// The one id→shard routing, shared with the bus's ring router.
-size_t ShardIndex(int id, size_t num_shards) {
-  return static_cast<size_t>(
-      runtime_internal::MixId(static_cast<uint64_t>(id)) % num_shards);
-}
-
 /// Release-mode counterpart of the IsValid() assert: every knob is forced
 /// into its valid range, falling back to documented defaults where no
 /// clamp makes sense (an invalid policy parameter set would otherwise
@@ -80,7 +74,6 @@ size_t ShardIndex(int id, size_t num_shards) {
 TieredConfig Sanitize(TieredConfig config) {
   if (config.num_edges < 1) config.num_edges = 1;
   if (config.num_shards < 1) config.num_shards = 1;
-  if (config.bus_capacity < 1) config.bus_capacity = 1;
   if (config.subscription_hub_capacity < 1) {
     config.subscription_hub_capacity = 1;
   }
@@ -109,8 +102,7 @@ void Accumulate(EngineCosts* total, const CostTracker& costs) {
 }  // namespace
 
 bool TieredConfig::IsValid() const {
-  return num_edges > 0 && num_shards > 0 && bus_capacity > 0 &&
-         subscription_hub_capacity > 0 &&
+  return num_edges > 0 && num_shards > 0 && subscription_hub_capacity > 0 &&
          wan.IsValid() && lan.IsValid() && wan_push_loss >= 0.0 &&
          wan_push_loss <= 1.0 && lan_push_loss >= 0.0 &&
          lan_push_loss <= 1.0 &&
@@ -176,8 +168,10 @@ TieredEngine::Layout TieredEngine::TieredLayout(
 
 TieredEngine::TieredEngine(Layout layout)
     : config_(layout.config),
-      bus_(config_.bus_capacity, static_cast<size_t>(config_.num_shards),
-           [this](size_t ring, uint64_t until) { CombineRing(ring, until); }),
+      bus_(static_cast<size_t>(config_.num_shards),
+           [this](size_t shard, const UpdateEvent* events, size_t n) {
+             ApplyRun(shard, events, n);
+           }),
       subscriptions_(&host_, config_.subscription_hub_capacity) {
   const size_t num_shards = static_cast<size_t>(config_.num_shards);
   // Reject malformed sources up front: null, an invalid policy
@@ -193,7 +187,7 @@ TieredEngine::TieredEngine(Layout layout)
       counters_.rejected_sources.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    owned[ShardIndex(src->id(), num_shards)].push_back(i);
+    owned[runtime_internal::ShardIndex(src->id(), num_shards)].push_back(i);
   }
 
   // Each shard's χ slice; the slices of a total sum exactly to it.
@@ -221,7 +215,6 @@ TieredEngine::TieredEngine(Layout layout)
       WriterMutexLock lock(shard->mu);
       shard->sources.reserve(positions.size());
       shard->fan_out.reserve(positions.size());
-      shard->burst.reserve(kMaxBurst);
       for (size_t i : positions) {
         // Registration hands out slots in order, so a source's slot index
         // is its position in `sources`.
@@ -262,7 +255,6 @@ TieredEngine::TieredEngine(Layout layout)
 }
 
 TieredEngine::~TieredEngine() {
-  StopUpdatePump();
   // Join the notifier before members die; the tiers stay alive until after.
   subscriptions_.Shutdown();
 }
@@ -286,7 +278,7 @@ void TieredEngine::ForEachTable(Fn fn) {
 }
 
 int TieredEngine::ShardOf(int id) const {
-  return static_cast<int>(ShardIndex(id, origin_.size()));
+  return static_cast<int>(runtime_internal::ShardIndex(id, origin_.size()));
 }
 
 bool TieredEngine::Owns(int id) const {
@@ -469,53 +461,42 @@ void TieredEngine::InstallDerived(const Shard& s, EdgeShard& es, int id,
 }
 
 // The synchronous update path applies each shard's share of an update as
-// a one-event burst: the combining path, minus the bus.
+// a one-event run: the bus's path, minus the run splitter.
 void TieredEngine::TickAll(int64_t now) {
   const UpdateEvent event{now, UpdateEvent::kAllSources};
   for (size_t shard = 0; shard < origin_.size(); ++shard) {
-    Shard& s = *origin_[shard];
-    WriterMutexLock lock(s.mu);
-    ApplyBurstLocked(s, static_cast<int>(shard), &event, 1);
+    ApplyRun(shard, &event, 1);
   }
 }
 
 void TieredEngine::TickSource(int id, int64_t now) {
   const UpdateEvent event{now, id};
-  const int shard = ShardOf(id);
-  Shard& s = *origin_[static_cast<size_t>(shard)];
-  WriterMutexLock lock(s.mu);
-  ApplyBurstLocked(s, shard, &event, 1);
+  ApplyRun(static_cast<size_t>(ShardOf(id)), &event, 1);
 }
 
-void TieredEngine::CombineRing(size_t ring, uint64_t until) {
-  // The bus keeps one ring per origin shard (RingOf == ShardOf; tick-alls
-  // are broadcast into every ring), so the exclusive shard hold is the
-  // ring's consumer token: one consumer at a time, per-source order
-  // intact, each drained burst applied under this one acquisition.
-  Shard& s = *origin_[ring];
+void TieredEngine::ApplyRun(size_t shard, const UpdateEvent* events,
+                            size_t count) {
+  Shard& s = *origin_[shard];
   WriterMutexLock lock(s.mu);
-  while (bus_.DrainRing(ring, &s.burst, kMaxBurst, until) > 0) {
-    ApplyBurstLocked(s, static_cast<int>(ring), s.burst.data(),
-                     s.burst.size());
-  }
+  ApplyBurstLocked(s, static_cast<int>(shard), events, count);
 }
 
 void TieredEngine::ApplyBurstLocked(Shard& s, int shard,
                                     const UpdateEvent* events, size_t count) {
-  // Root span of the update path: one burst and every refresh cascade it
+  // Root span of the update path: one run and every refresh cascade it
   // triggers.
   obs::TraceScope span(obs::SpanKind::kTick, /*id=*/-1,
                        count > 0 ? events[0].now : 0);
-  // Batch maximum, not the last event: with multiple bus producers the
-  // burst need not be time-ordered, and publishing a change at an earlier
-  // logical time than the tick that produced it would let the notifier
-  // snapshot a stale (narrower) interval.
+  // Run maximum, not the last event: a pushed batch need not be
+  // time-ordered, and publishing a change at an earlier logical time than
+  // the tick that produced it would let the notifier snapshot a stale
+  // (narrower) interval.
   int64_t last_now = 0;
   for (size_t i = 0; i < count; ++i) {
     const UpdateEvent& e = events[i];
     last_now = std::max(last_now, e.now);
     if (e.source_id == UpdateEvent::kAllSources) {
-      // This ring's copy of a broadcast: tick every source this shard owns.
+      // This shard's share of a broadcast: tick every source it owns.
       TickAllLocked(s, shard, e.now);
       continue;
     }
@@ -528,12 +509,6 @@ void TieredEngine::ApplyBurstLocked(Shard& s, int shard,
     TickSourceLocked(s, shard, slot, e.now);
   }
   PublishChangesLocked(s, last_now);
-}
-
-bool TieredEngine::StartUpdatePump() { return bus_.StartCombining(); }
-
-void TieredEngine::StopUpdatePump() {
-  if (bus_.combining()) bus_.Close();
 }
 
 // -- origin reads ----------------------------------------------------------

@@ -56,10 +56,6 @@ struct TieredConfig {
   /// How snapshot reads acquire their shard (see ReadLockMode): optimistic
   /// seqlock validation by default; kShared is the bench baseline.
   ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
-  /// Per-ring capacity of the update bus (backpressure bound for
-  /// producers; the bus keeps one ring per regional shard). Must be
-  /// positive.
-  size_t bus_capacity = 1024;
   /// Capacity of the subscription NotificationHub (must be positive).
   size_t subscription_hub_capacity = 1024;
   uint64_t seed = 0;
@@ -103,12 +99,12 @@ using TieredCounters = RuntimeCounters;
 /// interval, the regional refresh is charged one WAN Cvr (even if failure
 /// injection then drops the push), and every edge whose last-shipped
 /// interval no longer contains the new regional interval receives a
-/// derived refresh at one LAN Cvr each. Updates arrive synchronously via
-/// TickAll/TickSource (the deterministic lockstep path) or asynchronously
-/// through the UpdateBus, whose producers apply what they push (flat
-/// combining, see UpdateBus); the fan-out happens at delivery, under the
-/// same exclusive regional hold as the regional refresh. A whole-tick pass
-/// ships its fan-out edge by edge, one edge shard acquisition per edge.
+/// derived refresh at one LAN Cvr each. Updates arrive through TickAll/
+/// TickSource (the deterministic lockstep path) or the UpdateBus, whose
+/// pushes apply on the pushing thread; both go through ApplyRun. The
+/// fan-out happens at delivery, under the same exclusive regional hold as
+/// the regional refresh. A whole-tick pass ships its fan-out edge by edge,
+/// one edge shard acquisition per edge.
 ///
 /// Derived-precision invariant (paper §5): every edge interval is a hull
 /// of the regional interval it was derived from, so A_edge ⊇ A_regional —
@@ -226,16 +222,16 @@ class TieredEngine {
   const SubscriptionManager& subscriptions() const { return subscriptions_; }
 
   // -- asynchronous update path --------------------------------------
-  /// The update bus; its producers hold no lock (UpdateBus::PushBatch).
+  /// The update bus: a push is applied, fan-out included, on the pushing
+  /// thread before it returns; its producers hold no lock
+  /// (UpdateBus::PushBatch).
   UpdateBus& bus() { return bus_; }
-  /// Switches the bus to combining: every later push is applied, fan-out
-  /// included, by its own thread, and the backlog by the caller's. Starts
-  /// no thread. True when on (newly or already); false once the bus is
-  /// closed — the asynchronous path is single-use per engine.
-  bool StartUpdatePump();
-  /// When started: closes the bus, so later pushes fail, and applies
-  /// whatever is still queued on the caller's thread. A no-op otherwise.
-  void StopUpdatePump();
+  /// Starts nothing: pushes apply from construction on. Reports whether
+  /// the bus is still open — false once it is closed, so the asynchronous
+  /// path stays single-use per engine.
+  bool StartUpdatePump() { return !bus_.closed(); }
+  /// Closes the bus, so later pushes fail.
+  void StopUpdatePump() { bus_.Close(); }
 
   // -- measurement and observability ---------------------------------
   void BeginMeasurement(int64_t now);
@@ -405,22 +401,20 @@ class TieredEngine {
   /// (enqueue-only). Requires `s.mu` held exclusively.
   void PublishChangesLocked(Shard& s, int64_t now) APC_REQUIRES(s.mu);
 
-  /// Applies one burst of update events to origin shard `s` (index
-  /// `shard`) event by event — a combiner's per-burst step, and the
-  /// synchronous TickAll/TickSource path. A kAllSources event (this ring's
-  /// copy of a broadcast) is TickAllLocked, whose fan-out ships before the
-  /// burst's next event, so per-source event order holds; a specific id is
+  /// The one update path, the bus's apply hook and the body of TickAll/
+  /// TickSource: takes origin shard `shard`'s lock exclusively and applies
+  /// `events[0, count)` under that one hold (ApplyBurstLocked).
+  void ApplyRun(size_t shard, const UpdateEvent* events, size_t count);
+
+  /// Applies a run of update events to origin shard `s` (index `shard`)
+  /// event by event. A kAllSources event (this shard's share of a
+  /// broadcast) is TickAllLocked, whose fan-out ships before the run's
+  /// next event, so per-source event order holds; a specific id is
   /// TickSourceLocked; unknown ids are counted as rejected. Changes are
-  /// published once, at the batch-maximum time (the bus batch need not be
+  /// published once, at the run-maximum time (a pushed batch need not be
   /// time-ordered). Requires `s.mu` held exclusively.
   void ApplyBurstLocked(Shard& s, int shard, const UpdateEvent* events,
                         size_t count) APC_REQUIRES(s.mu);
-
-  /// The bus's Combiner: takes origin shard `ring`'s lock exclusively —
-  /// the ring's consumer token — and applies DrainRing bursts of up to
-  /// kMaxBurst events until the ring's head has passed `until`.
-  void CombineRing(size_t ring, uint64_t until);
-  static constexpr size_t kMaxBurst = 256;
 
   /// Calls `fn(table)` on every tier's table, shard by shard, each under
   /// its shard lock held exclusively (origin -> edge).

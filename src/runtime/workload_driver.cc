@@ -48,8 +48,8 @@ std::vector<WorkloadPhase> EffectiveSchedule(const DriverConfig& config) {
 /// CostRate()'s denominator never include pushes rejected at shutdown.
 /// Returns false once the bus is closed (the updater must exit).
 bool PushTickBurst(UpdateBus& bus, std::atomic<int64_t>& clock, int burst) {
-  // One PushBatch per burst: the bus reserves each ring's range with a
-  // single atomic instead of `burst` lock-and-notify round trips. The
+  // One PushBatch per burst: the burst's tick-alls are one run, applied
+  // to each shard under one lock hold instead of `burst` acquisitions. The
   // scratch is thread_local so the steady-state updater allocates nothing.
   static thread_local std::vector<UpdateEvent> events;
   events.clear();

@@ -62,7 +62,7 @@ struct DriverConfig {
   /// Streams source updates through the UpdateBus during the run. The
   /// driver starts and stops the engine's update path itself.
   bool run_updates = true;
-  /// Tick-all events pushed per updater burst (bounded by bus capacity).
+  /// Tick-all events pushed per updater burst (one PushBatch).
   int update_burst = 8;
   /// Mix of single-source point reads (width bound = the query constraint)
   /// interleaved into each thread's stream; the rest are aggregates.

@@ -30,10 +30,10 @@ struct Notification {
 
 /// Bounded multi-producer multi-consumer queue carrying notifications out
 /// of the subscription manager to subscriber threads — the push half of
-/// the standing-query protocol, mirroring the UpdateBus discipline on the
-/// update half: producers (the notifier, Subscribe/Reprecision) block when
-/// the hub is full, so a slow subscriber throttles notification production
-/// instead of the queue growing without bound; consumers drain in batches.
+/// the standing-query protocol: producers (the notifier,
+/// Subscribe/Reprecision) block when the hub is full, so a slow subscriber
+/// throttles notification production instead of the queue growing without
+/// bound; consumers drain in batches.
 ///
 /// Ordering: the queue is FIFO, and the manager pushes every record for a
 /// subscription under one mutex in epoch order, so per-subscription records
@@ -52,9 +52,8 @@ class NotificationHub {
   bool TryPush(const Notification& record);
 
   /// Enqueues `count` records under ONE lock acquisition per free-capacity
-  /// chunk (one total when the burst fits) instead of one per record — the
-  /// batch-reservation discipline of UpdateBus::PushBatch, applied to the
-  /// delivery path. Records are appended in argument order, so the FIFO /
+  /// chunk (one total when the burst fits) instead of one per record.
+  /// Records are appended in argument order, so the FIFO /
   /// per-subscription epoch-order guarantee is exactly Push's. Blocks
   /// while full, like Push; returns how many records were accepted —
   /// `count`, or fewer when the hub closes mid-batch (the rest are

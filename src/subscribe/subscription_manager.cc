@@ -287,9 +287,9 @@ void SubscriptionManager::EvaluateLocked(Subscription& sub, int64_t now) {
 
 void SubscriptionManager::FlushOutboxLocked() {
   if (outbox_.empty()) return;
-  // A full hub blocks here — backpressure onto the notifier and the APIs,
-  // the UpdateBus discipline. A closed hub (shutdown) drops the tail;
-  // counters and ship traces cover only what the hub accepted.
+  // A full hub blocks here — backpressure onto the notifier and the APIs.
+  // A closed hub (shutdown) drops the tail; counters and ship traces cover
+  // only what the hub accepted.
   size_t accepted = hub_.PushBatch(outbox_.data(), outbox_.size());
   if (accepted > 0) {
     counters_.notifications.fetch_add(static_cast<int64_t>(accepted),

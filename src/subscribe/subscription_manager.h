@@ -113,7 +113,7 @@ struct SubscriptionCounters {
 /// affected subscriptions in sub_id order, and pushes notifications in
 /// per-subscription epoch order (all hub pushes happen under the manager
 /// mutex). A full hub therefore backpressures the notifier and the
-/// Subscribe/Reprecision APIs — the UpdateBus discipline on the push half.
+/// Subscribe/Reprecision APIs.
 /// Lock order: manager mutex → engine shard locks; the engine calls
 /// OnIntervalChanges with shard locks held and it takes only the (leaf)
 /// pending-queue mutex, and only when a watched id changed.

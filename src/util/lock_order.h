@@ -47,10 +47,9 @@ enum class LockRank : uint16_t {
   /// under shard locks; nothing is acquired while holding it except the
   /// queue class below (shutdown drains).
   kSinkPending = 50,
-  /// UpdateBus / NotificationHub internal mutexes: innermost of the
-  /// engine/subscription paths (the bus's parking lot is visited by a
-  /// combiner under its origin shard lock; the hub is pushed to under the
-  /// manager mutex and closed under a control mutex).
+  /// NotificationHub::mu_: innermost of the subscription paths (the hub
+  /// is pushed to under the manager mutex and closed under a control
+  /// mutex).
   kQueue = 60,
   /// obs::SnapshotExporter::mu_ — the background writer's own state.
   kObsExporter = 70,

@@ -25,7 +25,7 @@
 /// blocks (see kSharedMutexYieldBudget).
 ///
 /// Every mutex names its lock class at construction:
-///     apc::Mutex mu_{LockRank::kQueue, "bus.mu"};
+///     apc::Mutex mu_{LockRank::kQueue, "hub.mu"};
 /// The mandatory rank argument is what makes "all mutex members declare a
 /// lock-class rank" a compile-time property.
 

@@ -89,8 +89,8 @@ TEST(LockOrderDeathTest, ReleasingUnheldLockAborts) {
   // Releasing a capability the validator never saw acquired is a wrapper
   // bug (or a cross-thread unlock) and aborts with its own message.
   EXPECT_DEATH(
-      LockOrderValidator::OnRelease(LockRank::kQueue, "bus.mu"),
-      "releasing 'bus\\.mu'.*does not hold");
+      LockOrderValidator::OnRelease(LockRank::kQueue, "hub.mu"),
+      "releasing 'hub\\.mu'.*does not hold");
 }
 
 TEST(LockOrderTest, IncreasingRanksPassAndUnwind) {
@@ -102,7 +102,7 @@ TEST(LockOrderTest, IncreasingRanksPassAndUnwind) {
   SharedMutex shard_mu(LockRank::kEngineShard, "shard.mu");
   SharedMutex edge_mu(LockRank::kEdgeShard, "edge.mu");
   Mutex pending_mu(LockRank::kSinkPending, "subs.pending_mu");
-  Mutex queue_mu(LockRank::kQueue, "bus.mu");
+  Mutex queue_mu(LockRank::kQueue, "hub.mu");
   {
     MutexLock l0(control_mu);
     MutexLock l1(manager_mu);

@@ -1,6 +1,5 @@
-// NotificationHub semantics — the push-half twin of update_bus_test.cc:
-// FIFO delivery, bounded backpressure, and close/drain shutdown must
-// mirror the UpdateBus discipline exactly.
+// NotificationHub semantics: FIFO delivery, bounded backpressure, and
+// close/drain shutdown.
 #include "subscribe/notification_hub.h"
 
 #include <gtest/gtest.h>
@@ -115,7 +114,7 @@ TEST(NotificationHubTest, MultipleProducersDeliverEverything) {
 
 // Multi-consumer drain: every record is delivered to exactly one consumer
 // and nothing is lost or duplicated — the shape subscriber-thread pools
-// rely on (UpdateBus is single-consumer; the hub is not).
+// rely on.
 TEST(NotificationHubTest, MultipleConsumersPartitionTheStream) {
   constexpr int kRecords = 2000;
   NotificationHub hub(64);

@@ -15,6 +15,7 @@
 #include "loud_instruments.h"
 #include "query/query_gen.h"
 #include "runtime/workload_driver.h"
+#include "tick_batches.h"
 
 namespace apc {
 namespace {
@@ -302,7 +303,9 @@ TEST(ShardedEngineTest, SingleShardMatchesCacheSystemUnderPushLoss) {
 }
 
 // Updates delivered through the bus (both the batched tick-all form and
-// per-source events) must land exactly like synchronous lockstep ticks.
+// per-source events, one tick's ids per PushBatch, which the bus splits
+// into same-shard runs) must land exactly like synchronous lockstep
+// ticks.
 TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
   constexpr int kSources = 24;
   constexpr int64_t kTicks = 120;
@@ -330,10 +333,13 @@ TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
   via_per_source.PopulateInitial(0);
   via_per_source.BeginMeasurement(0);
   via_per_source.StartUpdatePump();
+  std::vector<UpdateEvent> tick(kSources);
   for (int64_t t = 1; t <= kTicks; ++t) {
     for (int id = 0; id < kSources; ++id) {
-      ASSERT_TRUE(via_per_source.bus().Push({t, id}));
+      tick[static_cast<size_t>(id)] = {t, id};
     }
+    ASSERT_EQ(via_per_source.bus().PushBatch(tick.data(), tick.size()),
+              tick.size());
   }
   via_per_source.StopUpdatePump();
   via_per_source.EndMeasurement(kTicks);
@@ -349,17 +355,16 @@ TEST(ShardedEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
-// The combiner applies a drained burst event by event under one hold.
-// Pushing the whole run before StartUpdatePump makes each ring's first
-// drain a multi-event burst that mixes tick-alls with single-id ticks, one id
-// twice in the same tick. With evictions and push loss on, every offer and
-// loss draw must land as in the same sequence applied synchronously. A
-// small alpha keeps widths from outgrowing the walk, so refreshes stay
-// frequent through the run.
+// A pushed run is applied event by event under one shard hold. Each
+// PushBatch below carries two multi-event runs: two tick-alls, which reach
+// every shard as one run, then single-id ticks of ids that share a shard,
+// one id twice. With evictions and push loss on, every offer and loss
+// draw must land as in the same sequence applied synchronously. A small
+// alpha keeps widths from outgrowing the walk, so refreshes stay frequent
+// through the run.
 TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   constexpr int kSources = 24;
   constexpr int64_t kTicks = 40;
-  const std::vector<int> kSingles = {5, 11, 5, 17};
   EngineConfig config;
   config.num_shards = 3;
   config.system.cache_capacity = 18;
@@ -368,28 +373,21 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   policy.alpha = 0.1;
 
   ShardedEngine lockstep(config, MakeSources(kSources, policy));
+  const std::vector<int> kSingles = OneShardSingles(lockstep);
+  const std::vector<std::vector<UpdateEvent>> batches =
+      TickPairBatches(kTicks, kSingles);
   lockstep.PopulateInitial(0);
   lockstep.BeginMeasurement(0);
-  for (int64_t t = 1; t <= kTicks; ++t) {
-    lockstep.TickAll(t);
-    for (int id : kSingles) {
-      lockstep.TickSource(id, t);
-    }
-  }
+  TickInLockstep(lockstep, batches);
   lockstep.EndMeasurement(kTicks);
 
-  // No ring receives more than kTicks * (1 + kSingles.size()) = 200
-  // events, under the default bus_capacity, so pushing with no consumer
-  // never blocks.
   ShardedEngine bursts(config, MakeSources(kSources, policy));
   bursts.PopulateInitial(0);
   bursts.BeginMeasurement(0);
-  for (int64_t t = 1; t <= kTicks; ++t) {
-    ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
-    for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
+  for (const std::vector<UpdateEvent>& batch : batches) {
+    ASSERT_EQ(bursts.bus().PushBatch(batch.data(), batch.size()),
+              batch.size());
   }
-  ASSERT_TRUE(bursts.StartUpdatePump());  // applies the backlog
-  bursts.StopUpdatePump();
   bursts.EndMeasurement(kTicks);
 
   EngineCosts expected = lockstep.TotalCosts();
@@ -410,12 +408,12 @@ TEST(ShardedEngineTest, MultiEventBurstsMatchSynchronousTicks) {
             kTicks * static_cast<int64_t>(kSources + kSingles.size()));
 }
 
-// Flat combining with several producers on a 3-shard engine: four
-// threads push single-id ticks for disjoint id sets, each push applying
-// its own event before it returns. Once they join — before any Stop —
-// every event is applied, and without loss or eviction the result matches
-// a synchronous TickSource replay bit for bit.
-TEST(ShardedEngineTest, CombiningProducersMatchSynchronousTicks) {
+// Several producers on a 3-shard engine: four threads push single-id
+// ticks for disjoint id sets, each push applying its own event before it
+// returns. Once they join — before any Stop — every event is applied, and
+// without loss or eviction the result matches a synchronous TickSource
+// replay bit for bit.
+TEST(ShardedEngineTest, ConcurrentProducersMatchSynchronousTicks) {
   constexpr int kSources = 24;
   constexpr int kProducers = 4;
   constexpr int64_t kTicks = 100;
@@ -430,71 +428,63 @@ TEST(ShardedEngineTest, CombiningProducersMatchSynchronousTicks) {
   }
   lockstep.EndMeasurement(kTicks);
 
-  ShardedEngine combined(config, MakeSources(kSources));
-  combined.PopulateInitial(0);
-  combined.BeginMeasurement(0);
-  ASSERT_TRUE(combined.StartUpdatePump());
+  ShardedEngine pushed(config, MakeSources(kSources));
+  pushed.PopulateInitial(0);
+  pushed.BeginMeasurement(0);
+  ASSERT_TRUE(pushed.StartUpdatePump());
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&combined, p] {
+    producers.emplace_back([&pushed, p] {
       for (int64_t t = 1; t <= kTicks; ++t) {
         for (int id = p; id < kSources; id += kProducers) {
-          ASSERT_TRUE(combined.bus().Push({t, id}));
+          ASSERT_TRUE(pushed.bus().Push({t, id}));
         }
       }
     });
   }
   for (auto& producer : producers) producer.join();
-  EXPECT_EQ(combined.counters().updates_applied.load(), kSources * kTicks)
+  EXPECT_EQ(pushed.counters().updates_applied.load(), kSources * kTicks)
       << "an event waited for a later push";
-  EXPECT_EQ(combined.bus().size(), 0u);
-  combined.EndMeasurement(kTicks);
+  pushed.EndMeasurement(kTicks);
 
   EngineCosts expected = lockstep.TotalCosts();
-  EngineCosts actual = combined.TotalCosts();
+  EngineCosts actual = pushed.TotalCosts();
   EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
   EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
   EXPECT_EQ(actual.total_cost, expected.total_cost);
   for (int id = 0; id < kSources; ++id) {
-    EXPECT_EQ(combined.regional_interval(id, kTicks),
+    EXPECT_EQ(pushed.regional_interval(id, kTicks),
               lockstep.regional_interval(id, kTicks))
         << "id " << id;
-    EXPECT_EQ(combined.regional_raw_width(id), lockstep.regional_raw_width(id))
+    EXPECT_EQ(pushed.regional_raw_width(id), lockstep.regional_raw_width(id))
         << "id " << id;
-    EXPECT_EQ(combined.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
+    EXPECT_EQ(pushed.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
   }
-  combined.StopUpdatePump();
+  pushed.StopUpdatePump();
 }
 
-// A broadcast racing StartUpdatePump is applied in every shard by the time
-// both calls return: the producer publishes then reads the combining
-// flag, Start sets the flag then drains, and the fences between make at
-// least one of them see the other. Looped, with both sides released
-// together, to land inside the window.
-TEST(ShardedEngineTest, CombiningStartRacingAPushAppliesIt) {
+// A push needs no StartUpdatePump: the pushing thread applies it before
+// PushBatch returns, exactly as the same ticks applied synchronously.
+TEST(ShardedEngineTest, PushBeforeStartUpdatePumpIsAppliedOnReturn) {
   constexpr int kSources = 12;
-  constexpr int kRounds = 300;
   EngineConfig config;
   config.num_shards = 3;
-  for (int round = 0; round < kRounds; ++round) {
-    ShardedEngine engine(config, MakeSources(kSources));
-    engine.PopulateInitial(0);
-    std::atomic<int> ready{0};
-    auto await_both = [&ready] {
-      ready.fetch_add(1);
-      while (ready.load() < 2) {
-      }
-    };
-    std::thread producer([&] {
-      await_both();
-      EXPECT_TRUE(engine.bus().Push({1, UpdateEvent::kAllSources}));
-    });
-    await_both();
-    ASSERT_TRUE(engine.StartUpdatePump());
-    producer.join();
-    ASSERT_EQ(engine.counters().updates_applied.load(), kSources)
-        << "round " << round << ": the raced push was stranded";
-    engine.StopUpdatePump();
+  config.system.cache_capacity = kSources;
+  ShardedEngine lockstep(config, MakeSources(kSources));
+  lockstep.PopulateInitial(0);
+  lockstep.TickAll(1);
+  lockstep.TickSource(4, 1);
+
+  ShardedEngine engine(config, MakeSources(kSources));
+  engine.PopulateInitial(0);
+  const UpdateEvent events[2] = {{1, UpdateEvent::kAllSources}, {1, 4}};
+  ASSERT_EQ(engine.bus().PushBatch(events, 2), 2u);
+  EXPECT_EQ(engine.counters().updates_applied.load(), kSources + 1);
+  for (int id = 0; id < kSources; ++id) {
+    EXPECT_EQ(engine.regional_interval(id, 1),
+              lockstep.regional_interval(id, 1))
+        << "id " << id;
+    EXPECT_EQ(engine.ExactValue(id), lockstep.ExactValue(id)) << "id " << id;
   }
 }
 
@@ -821,18 +811,13 @@ TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuaranteeInEveryMode) {
   }
 }
 
-// Satellite: EngineConfig is validated in full — a zero-capacity bus would
-// deadlock every producer, and more shards than cache capacity would leave
-// some shard with a zero-entry χ slice.
+// Satellite: EngineConfig is validated in full — more shards than cache
+// capacity would leave some shard with a zero-entry χ slice.
 TEST(ShardedEngineTest, EngineConfigValidationRejectsBadConfigs) {
   EngineConfig config;
   config.system.cache_capacity = 8;
   config.num_shards = 4;
   EXPECT_TRUE(config.IsValid());
-
-  EngineConfig zero_bus = config;
-  zero_bus.bus_capacity = 0;
-  EXPECT_FALSE(zero_bus.IsValid());
 
   EngineConfig too_many_shards = config;
   too_many_shards.num_shards = 9;  // > cache_capacity

@@ -19,6 +19,7 @@
 #include "query/query_gen.h"
 #include "runtime/sharded_engine.h"
 #include "runtime/workload_driver.h"
+#include "tick_batches.h"
 #include "util/rng.h"
 
 namespace apc {
@@ -70,10 +71,6 @@ TEST(TieredConfigTest, Validation) {
 
   bad = config;
   bad.num_shards = 0;
-  EXPECT_FALSE(bad.IsValid());
-
-  bad = config;
-  bad.bus_capacity = 0;
   EXPECT_FALSE(bad.IsValid());
 
   bad = config;
@@ -220,8 +217,10 @@ TEST(TieredEngineTest, LockstepParityMultiEdgeMultiShard) {
                              /*ticks=*/300, kSeed ^ 0x22);
 }
 
-// Updates delivered through the bus (tick-all and per-source events) must
-// land exactly like synchronous lockstep ticks, fan-out included.
+// Updates delivered through the bus (tick-all events, and per-source
+// events one tick's ids per PushBatch, which the bus splits into
+// same-shard runs) must land exactly like synchronous lockstep ticks,
+// fan-out included.
 TEST(TieredEngineTest, UpdateBusMatchesSynchronousTicks) {
   constexpr int kSources = 10;
   constexpr int64_t kTicks = 150;
@@ -248,10 +247,13 @@ TEST(TieredEngineTest, UpdateBusMatchesSynchronousTicks) {
   via_per_source.PopulateInitial(0);
   via_per_source.BeginMeasurement(0);
   ASSERT_TRUE(via_per_source.StartUpdatePump());
+  std::vector<UpdateEvent> tick(kSources);
   for (int64_t t = 1; t <= kTicks; ++t) {
     for (int id = 0; id < kSources; ++id) {
-      ASSERT_TRUE(via_per_source.bus().Push({t, id}));
+      tick[static_cast<size_t>(id)] = {t, id};
     }
+    ASSERT_EQ(via_per_source.bus().PushBatch(tick.data(), tick.size()),
+              tick.size());
   }
   via_per_source.StopUpdatePump();
   via_per_source.EndMeasurement(kTicks);
@@ -278,21 +280,20 @@ TEST(TieredEngineTest, UpdateBusMatchesSynchronousTicks) {
             kSources * kTicks);
 }
 
-// The combiner applies a drained burst event by event under one regional
-// hold, and a tick-all's fan-out must ship before the burst's next event.
-// Pushing the whole run before StartUpdatePump makes each ring's first
-// drain a multi-event burst that mixes tick-alls with single-id ticks,
-// one id twice in the same tick. With WAN loss and edge evictions on,
-// every table must see the same offers in the same order as the same
-// sequence applied synchronously. A small alpha keeps widths from
-// outgrowing the walk, so an id often refreshes in a tick-all and again in
-// its single-id tick of the same burst. LAN pushes stay reliable, so the
-// derived invariant holds on both.
+// A pushed run is applied event by event under one regional hold, and a
+// tick-all's fan-out must ship before the run's next event. Each
+// PushBatch below carries two multi-event runs: two tick-alls, which reach
+// every shard as one run, then single-id ticks of ids that share a shard,
+// one id twice. With WAN loss and edge evictions on, every table must see
+// the same offers in the same order as the same sequence applied
+// synchronously. A small alpha keeps widths from outgrowing the walk, so
+// an id often refreshes in a tick-all and again in a single-id tick of
+// the same batch. LAN pushes stay reliable, so the derived invariant holds
+// on both.
 TEST(TieredEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   constexpr int kSources = 12;
   constexpr int kEdges = 3;
   constexpr int64_t kTicks = 40;
-  const std::vector<int> kSingles = {3, 7, 3, 10};
   HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
   seq_config.regional_policy.alpha = 0.1;
   seq_config.edge_policy.alpha = 0.1;
@@ -301,26 +302,21 @@ TEST(TieredEngineTest, MultiEventBurstsMatchSynchronousTicks) {
   config.wan_push_loss = 0.2;
 
   TieredEngine lockstep(config, WalkStreams(kSources, kSeed ^ 0x55));
+  const std::vector<int> kSingles = OneShardSingles(lockstep);
+  const std::vector<std::vector<UpdateEvent>> batches =
+      TickPairBatches(kTicks, kSingles);
   lockstep.PopulateInitial(0);
   lockstep.BeginMeasurement(0);
-  for (int64_t t = 1; t <= kTicks; ++t) {
-    lockstep.TickAll(t);
-    for (int id : kSingles) lockstep.TickSource(id, t);
-  }
+  TickInLockstep(lockstep, batches);
   lockstep.EndMeasurement(kTicks);
 
-  // No ring receives more than kTicks * (1 + kSingles.size()) = 200
-  // events, under the default bus_capacity, so pushing with no consumer
-  // never blocks.
   TieredEngine bursts(config, WalkStreams(kSources, kSeed ^ 0x55));
   bursts.PopulateInitial(0);
   bursts.BeginMeasurement(0);
-  for (int64_t t = 1; t <= kTicks; ++t) {
-    ASSERT_TRUE(bursts.bus().Push({t, UpdateEvent::kAllSources}));
-    for (int id : kSingles) ASSERT_TRUE(bursts.bus().Push({t, id}));
+  for (const std::vector<UpdateEvent>& batch : batches) {
+    ASSERT_EQ(bursts.bus().PushBatch(batch.data(), batch.size()),
+              batch.size());
   }
-  ASSERT_TRUE(bursts.StartUpdatePump());  // applies the backlog
-  bursts.StopUpdatePump();
   bursts.EndMeasurement(kTicks);
 
   for (auto [actual, expected] :
@@ -644,13 +640,13 @@ TEST(TieredEngineTest, RejectedReadsDoNotWaitForTheShardLock) {
   }
 }
 
-// Flat combining with several producers: four threads push single-id
-// ticks for disjoint id sets into a 2-shard engine. Each push applies its
-// own event before it returns, so once the producers join — before any
-// Stop — every event is applied. Without loss or eviction each id's
-// outcome depends only on its own event order, so intervals, raw widths
-// and costs match a synchronous TickSource replay bit for bit.
-TEST(TieredEngineTest, CombiningProducersMatchSynchronousTicks) {
+// Several producers: four threads push single-id ticks for disjoint id
+// sets into a 2-shard engine. Each push applies its own event before it
+// returns, so once the producers join — before any Stop — every event is
+// applied. Without loss or eviction each id's outcome depends only on its
+// own event order, so intervals, raw widths and costs match a synchronous
+// TickSource replay bit for bit.
+TEST(TieredEngineTest, ConcurrentProducersMatchSynchronousTicks) {
   constexpr int kSources = 16;
   constexpr int kProducers = 4;
   constexpr int kEdges = 2;
@@ -666,54 +662,53 @@ TEST(TieredEngineTest, CombiningProducersMatchSynchronousTicks) {
   }
   lockstep.EndMeasurement(kTicks);
 
-  TieredEngine combined(config, WalkStreams(kSources, kSeed ^ 0x77));
-  combined.PopulateInitial(0);
-  combined.BeginMeasurement(0);
-  ASSERT_TRUE(combined.StartUpdatePump());
+  TieredEngine pushed(config, WalkStreams(kSources, kSeed ^ 0x77));
+  pushed.PopulateInitial(0);
+  pushed.BeginMeasurement(0);
+  ASSERT_TRUE(pushed.StartUpdatePump());
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&combined, p] {
+    producers.emplace_back([&pushed, p] {
       for (int64_t t = 1; t <= kTicks; ++t) {
         for (int id = p; id < kSources; id += kProducers) {
-          ASSERT_TRUE(combined.bus().Push({t, id}));
+          ASSERT_TRUE(pushed.bus().Push({t, id}));
         }
       }
     });
   }
   for (auto& producer : producers) producer.join();
-  EXPECT_EQ(combined.counters().updates_applied.load(), kSources * kTicks)
+  EXPECT_EQ(pushed.counters().updates_applied.load(), kSources * kTicks)
       << "an event waited for a later push";
-  EXPECT_EQ(combined.bus().size(), 0u);
-  combined.EndMeasurement(kTicks);
+  pushed.EndMeasurement(kTicks);
 
   for (auto [actual, expected] :
-       {std::pair{combined.WanCosts(), lockstep.WanCosts()},
-        std::pair{combined.LanCosts(), lockstep.LanCosts()}}) {
+       {std::pair{pushed.WanCosts(), lockstep.WanCosts()},
+        std::pair{pushed.LanCosts(), lockstep.LanCosts()}}) {
     EXPECT_EQ(actual.value_refreshes, expected.value_refreshes);
     EXPECT_EQ(actual.query_refreshes, expected.query_refreshes);
     EXPECT_EQ(actual.total_cost, expected.total_cost);
   }
   for (int id = 0; id < kSources; ++id) {
-    EXPECT_EQ(combined.regional_interval(id, kTicks),
+    EXPECT_EQ(pushed.regional_interval(id, kTicks),
               lockstep.regional_interval(id, kTicks))
         << "id " << id;
-    EXPECT_EQ(combined.regional_raw_width(id), lockstep.regional_raw_width(id))
+    EXPECT_EQ(pushed.regional_raw_width(id), lockstep.regional_raw_width(id))
         << "id " << id;
     for (int e = 0; e < kEdges; ++e) {
-      EXPECT_EQ(combined.edge_interval(e, id, kTicks),
+      EXPECT_EQ(pushed.edge_interval(e, id, kTicks),
                 lockstep.edge_interval(e, id, kTicks))
           << "edge " << e << " id " << id;
-      EXPECT_EQ(combined.edge_raw_width(e, id), lockstep.edge_raw_width(e, id))
+      EXPECT_EQ(pushed.edge_raw_width(e, id), lockstep.edge_raw_width(e, id))
           << "edge " << e << " id " << id;
     }
   }
-  combined.StopUpdatePump();
+  pushed.StopUpdatePump();
 }
 
-// A producer whose ring's shard lock is held — here by another producer's
-// apply, parked inside the origin hold — waits for it, and its push
-// returns only once its own event is applied.
-TEST(TieredEngineTest, CombiningProducerWaitsBehindAHeldShardLock) {
+// A producer whose shard lock is held — here by another producer's apply,
+// parked inside the origin hold — waits for it, and its push returns only
+// once its own event is applied.
+TEST(TieredEngineTest, ConcurrentProducerWaitsBehindAHeldShardLock) {
   constexpr int kSources = 4;
   ParkingGate gate;
   auto streams = WalkStreams(kSources, kSeed ^ 0xCC);
@@ -739,40 +734,7 @@ TEST(TieredEngineTest, CombiningProducerWaitsBehindAHeldShardLock) {
   first.join();
   EXPECT_EQ(second.get(), 2) << "the second push returned before its event "
                              << "was applied";
-  EXPECT_EQ(engine.bus().size(), 0u);
   engine.StopUpdatePump();
-}
-
-// A push racing StartUpdatePump is applied by the time both calls return:
-// the producer publishes then reads the combining flag, Start sets the
-// flag then drains, and the fences between make at least one of them see
-// the other. Looped, with both sides released together, to land inside
-// the window.
-TEST(TieredEngineTest, CombiningStartRacingAPushAppliesIt) {
-  constexpr int kSources = 4;
-  constexpr int kRounds = 300;
-  TieredConfig config =
-      TieredFrom(SequentialConfig(kSources, 1), /*num_shards=*/2, kSeed);
-  for (int round = 0; round < kRounds; ++round) {
-    TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0xDD));
-    engine.PopulateInitial(0);
-    std::atomic<int> ready{0};
-    auto await_both = [&ready] {
-      ready.fetch_add(1);
-      while (ready.load() < 2) {
-      }
-    };
-    std::thread producer([&] {
-      await_both();
-      EXPECT_TRUE(engine.bus().Push({1, round % kSources}));
-    });
-    await_both();
-    ASSERT_TRUE(engine.StartUpdatePump());
-    producer.join();
-    ASSERT_EQ(engine.counters().updates_applied.load(), 1)
-        << "round " << round << ": the raced push was stranded";
-    engine.StopUpdatePump();
-  }
 }
 
 // The regional tier of a tiered topology answers the paper's aggregates

@@ -29,11 +29,10 @@ QueryWorkloadParams MakeWorkload(int num_sources) {
   return params;
 }
 
-ShardedEngine MakeEngine(int shards, size_t bus_capacity = 1024) {
+ShardedEngine MakeEngine(int shards) {
   EngineConfig config;
   config.num_shards = shards;
   config.system.cache_capacity = kSources * 3 / 4;
-  config.bus_capacity = bus_capacity;
   return ShardedEngine(config, MakeSources(kSources));
 }
 
@@ -44,21 +43,21 @@ ShardedEngine MakeEngine(int shards, size_t bus_capacity = 1024) {
 // interleaving: each accepted tick-all event applies exactly one update
 // per source, so updates_applied == ticks * num_sources.
 TEST(WorkloadDriverTest, TickCountOnlyCountsAcceptedPushes) {
-  ShardedEngine engine = MakeEngine(2, /*bus_capacity=*/4);
+  ShardedEngine engine = MakeEngine(2);
 
   DriverConfig config;
   config.num_threads = 2;
   config.queries_per_thread = 4000;
   config.workload = MakeWorkload(kSources);
   config.run_updates = true;
-  config.update_burst = 64;  // bursts larger than the bus: backpressure
+  config.update_burst = 64;
   config.seed = kSeed;
 
   DriverReport report;
   std::thread runner(
       [&] { report = RunWorkload(engine, config); });
-  // Close the bus while the updater is streaming; its in-flight push is
-  // rejected and must not count.
+  // Close the bus while the updater is streaming; the burst it refuses
+  // must not count.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   engine.bus().Close();
   runner.join();
