@@ -89,7 +89,6 @@ EngineConfig Engine(int num_sources) {
   config.num_shards = kShards;
   config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
   config.seed = kSeed;
-  config.read_lock_mode = ReadLockMode::kSeqlock;
   return config;
 }
 

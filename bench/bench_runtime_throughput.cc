@@ -5,15 +5,14 @@
 // engine driven in lockstep from one thread must reproduce the sequential
 // CacheSystem's cost accounting exactly — same value- and query-initiated
 // refresh counts, same total cost. Since the shared-core refactor both
-// sides drive the same ProtocolTable, so this now re-checks the wiring in
-// every read-lock mode rather than two hand-maintained twins.
+// sides drive the same ProtocolTable, so this re-checks the wiring rather
+// than two hand-maintained twins.
 //
 // Part 2 sweeps the read-mostly serving hot path (point_read_fraction
-// 0.95) across worker threads × shards × Zipf skew, in both lock modes:
-// "seqlock" (the runtime default: snapshot reads validate an optimistic
-// per-entry versioned read and take no shard lock at all) and "shared"
-// (snapshot reads acquire the shard shared_mutex shared — the
-// pre-seqlock runtime). The updater streams tick-all events through the
+// 0.95) across worker threads × shards × Zipf skew. Snapshot reads
+// validate an optimistic per-entry versioned read and take no shard lock
+// at all (rows keep "mode": "seqlock" so they compare with older
+// trajectories). The updater streams tick-all events through the
 // UpdateBus during every run, so readers race a cycling writer. Every
 // returned interval is checked against its precision constraint;
 // violations must be 0.
@@ -51,19 +50,6 @@ using namespace apc;
 constexpr uint64_t kSeed = 77;
 constexpr double kPointReadFraction = 0.95;
 
-constexpr ReadLockMode kModes[] = {ReadLockMode::kSeqlock,
-                                   ReadLockMode::kShared};
-
-const char* ModeName(ReadLockMode mode) {
-  switch (mode) {
-    case ReadLockMode::kSeqlock:
-      return "seqlock";
-    case ReadLockMode::kShared:
-      return "shared";
-  }
-  return "?";
-}
-
 QueryWorkloadParams Workload(int num_sources) {
   QueryWorkloadParams params;
   params.num_sources = num_sources;
@@ -86,66 +72,49 @@ bool DeterminismCheck(int num_sources) {
   SystemConfig sys_config;
   sys_config.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
 
-  bool all_match = true;
-  for (ReadLockMode mode : kModes) {
-    CacheSystem sequential(sys_config, Sources(num_sources));
-    sequential.PopulateInitial(0);
-    sequential.costs().BeginMeasurement(0);
+  CacheSystem sequential(sys_config, Sources(num_sources));
+  sequential.PopulateInitial(0);
+  sequential.costs().BeginMeasurement(0);
 
-    EngineConfig engine_config;
-    engine_config.system = sys_config;
-    engine_config.num_shards = 1;
-    engine_config.read_lock_mode = mode;
-    ShardedEngine engine(engine_config, Sources(num_sources));
-    engine.PopulateInitial(0);
-    engine.BeginMeasurement(0);
+  EngineConfig engine_config;
+  engine_config.system = sys_config;
+  engine_config.num_shards = 1;
+  ShardedEngine engine(engine_config, Sources(num_sources));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
 
-    QueryGenerator gen_a(Workload(num_sources), kSeed ^ 0x7e57);
-    QueryGenerator gen_b(Workload(num_sources), kSeed ^ 0x7e57);
-    for (int64_t t = 1; t <= kTicks; ++t) {
-      sequential.Tick(t);
-      engine.TickAll(t);
-      sequential.ExecuteQuery(gen_a.Next(), t);
-      engine.ExecuteQuery(gen_b.Next(), t);
-    }
-    sequential.costs().EndMeasurement(kTicks);
-    engine.EndMeasurement(kTicks);
-
-    EngineCosts engine_costs = engine.TotalCosts();
-    bool match =
-        engine_costs.value_refreshes ==
-            sequential.costs().value_refreshes() &&
-        engine_costs.query_refreshes ==
-            sequential.costs().query_refreshes() &&
-        engine_costs.total_cost == sequential.costs().total_cost();
-    std::printf(
-        "  %-9s vs CacheSystem: vr=%lld qr=%lld cost=%s  ->  %s\n",
-        ModeName(mode), static_cast<long long>(engine_costs.value_refreshes),
-        static_cast<long long>(engine_costs.query_refreshes),
-        bench::Num(engine_costs.total_cost).c_str(),
-        match ? "MATCH" : "MISMATCH");
-    all_match = all_match && match;
+  QueryGenerator gen_a(Workload(num_sources), kSeed ^ 0x7e57);
+  QueryGenerator gen_b(Workload(num_sources), kSeed ^ 0x7e57);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    sequential.Tick(t);
+    engine.TickAll(t);
+    sequential.ExecuteQuery(gen_a.Next(), t);
+    engine.ExecuteQuery(gen_b.Next(), t);
   }
-  return all_match;
+  sequential.costs().EndMeasurement(kTicks);
+  engine.EndMeasurement(kTicks);
+
+  EngineCosts engine_costs = engine.TotalCosts();
+  bool match =
+      engine_costs.value_refreshes == sequential.costs().value_refreshes() &&
+      engine_costs.query_refreshes == sequential.costs().query_refreshes() &&
+      engine_costs.total_cost == sequential.costs().total_cost();
+  std::printf("  engine vs CacheSystem: vr=%lld qr=%lld cost=%s  ->  %s\n",
+              static_cast<long long>(engine_costs.value_refreshes),
+              static_cast<long long>(engine_costs.query_refreshes),
+              bench::Num(engine_costs.total_cost).c_str(),
+              match ? "MATCH" : "MISMATCH");
+  return match;
 }
 
-struct SweepPoint {
-  ReadLockMode mode = ReadLockMode::kSeqlock;
-  double zipf_s = 0.0;
-  int shards = 1;
-  int threads = 1;
-  DriverReport report;
-};
-
-DriverReport RunOne(ReadLockMode mode, double zipf_s, int shards,
-                    int threads, int64_t queries_per_thread, int num_sources,
+DriverReport RunOne(double zipf_s, int shards, int threads,
+                    int64_t queries_per_thread, int num_sources,
                     const std::vector<WorkloadPhase>& phases,
                     int64_t* queries_executed) {
   EngineConfig config;
   config.num_shards = shards;
   config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
   config.seed = kSeed;
-  config.read_lock_mode = mode;
   ShardedEngine engine(config, Sources(num_sources));
 
   DriverConfig driver;
@@ -156,9 +125,8 @@ DriverReport RunOne(ReadLockMode mode, double zipf_s, int shards,
   driver.run_updates = true;
   driver.point_read_fraction = kPointReadFraction;
   driver.phases = phases;
-  // Deliberately mode-independent: every lock mode faces the identical
-  // query/constraint streams, so mode comparisons differ only in the code
-  // under test, not in the workload draw.
+  // Seeded by the cell alone: every repeat of a cell faces the identical
+  // query/constraint streams.
   driver.seed = kSeed + static_cast<uint64_t>(shards * 1000 + threads * 10);
   DriverReport report = RunWorkload(engine, driver);
   // Progress is judged by the engine's own atomic counter, not by the
@@ -172,15 +140,14 @@ DriverReport RunOne(ReadLockMode mode, double zipf_s, int shards,
 /// trajectory should track the code, not the interleaving lottery.
 /// Violations accumulate across ALL repeats — the precision guarantee has
 /// no noise to hide behind.
-DriverReport RunMedian(int repeats, ReadLockMode mode, double zipf_s,
-                       int shards, int threads, int64_t queries_per_thread,
-                       int num_sources, int64_t* queries_executed,
-                       int64_t* all_violations) {
+DriverReport RunMedian(int repeats, double zipf_s, int shards, int threads,
+                       int64_t queries_per_thread, int num_sources,
+                       int64_t* queries_executed, int64_t* all_violations) {
   std::vector<DriverReport> reports;
   std::vector<int64_t> executed(static_cast<size_t>(repeats), 0);
   for (int r = 0; r < repeats; ++r) {
-    reports.push_back(RunOne(mode, zipf_s, shards, threads,
-                             queries_per_thread, num_sources, {},
+    reports.push_back(RunOne(zipf_s, shards, threads, queries_per_thread,
+                             num_sources, {},
                              &executed[static_cast<size_t>(r)]));
     *all_violations += reports.back().violations;
   }
@@ -224,68 +191,62 @@ int main(int argc, char** argv) {
                 "single shard + single thread reproduces CacheSystem");
   bool deterministic = DeterminismCheck(num_sources);
 
-  bench::Banner(
-      "RUNTIME-2",
-      "read-mostly hot path: threads x shards x skew, both lock modes");
+  bench::Banner("RUNTIME-2",
+                "read-mostly hot path: threads x shards x skew");
   bench::Note("point_read_fraction 0.95, updates streaming through the bus;");
-  bench::Note("'seqlock' = optimistic per-entry versioned reads, no shard "
-              "lock (the runtime),");
-  bench::Note("'shared' = snapshot reads take shard locks shared");
-  std::printf("\n  %9s %5s %7s %8s %12s %9s %9s %9s %10s %7s %11s\n", "mode",
-              "zipf", "shards", "threads", "queries/s", "p50 us", "p95 us",
-              "p99 us", "cost/tick", "ticks", "violations");
+  bench::Note("snapshot reads are optimistic per-entry versioned reads, no "
+              "shard lock");
+  std::printf("\n  %5s %7s %8s %12s %9s %9s %9s %10s %7s %11s\n", "zipf",
+              "shards", "threads", "queries/s", "p50 us", "p95 us", "p99 us",
+              "cost/tick", "ticks", "violations");
 
-  std::vector<SweepPoint> sweep;
   int64_t total_violations = 0;
   bool concurrent_progress = false;
-  for (ReadLockMode mode : kModes) {
-    for (double zipf_s : {0.0, 1.1}) {
-      for (int shards : {1, 8}) {
-        for (int threads : {1, 4, 8}) {
-          SweepPoint point;
-          point.mode = mode;
-          point.zipf_s = zipf_s;
-          point.shards = shards;
-          point.threads = threads;
-          int64_t executed = 0;
-          point.report =
-              RunMedian(/*repeats=*/7, mode, zipf_s, shards, threads,
-                        queries_per_thread, num_sources, &executed,
-                        &total_violations);
-          const DriverReport& r = point.report;
-          if (threads > 1 &&
-              executed ==
-                  static_cast<int64_t>(threads) * queries_per_thread) {
-            concurrent_progress = true;
-          }
-          std::printf(
-              "  %9s %5.1f %7d %8d %12.0f %9.1f %9.1f %9.1f %10.3f %7lld"
-              " %11lld\n",
-              ModeName(mode), zipf_s, shards, threads, r.queries_per_second,
-              r.latency_p50_us, r.latency_p95_us, r.latency_p99_us,
-              r.costs.CostRate(), static_cast<long long>(r.ticks),
-              static_cast<long long>(r.violations));
-          report.AddRun()
-              .Str("scenario", "steady")
-              .Str("mode", ModeName(mode))
-              .Num("zipf_s", zipf_s)
-              .Int("shards", shards)
-              .Int("threads", threads)
-              .Num("point_read_fraction", kPointReadFraction)
-              .Num("qps", r.queries_per_second)
-              .Num("p50_us", r.latency_p50_us)
-              .Num("p95_us", r.latency_p95_us)
-              .Num("p99_us", r.latency_p99_us)
-              .Num("cost_rate", r.costs.CostRate())
-              .Int("queries", r.queries)
-              .Int("ticks", r.ticks)
-              .Int("value_refreshes", r.costs.value_refreshes)
-              .Int("query_refreshes", r.costs.query_refreshes)
-              .Int("rejected_updates", r.rejected_updates)
-              .Int("rejected_query_ids", r.rejected_query_ids)
-              .Int("violations", r.violations);
-          sweep.push_back(std::move(point));
+  // The scaling gate's inputs: 8 shards, uniform ids, 1 and 8 threads.
+  double qps_1t = 0.0;
+  double qps_8t = 0.0;
+  for (double zipf_s : {0.0, 1.1}) {
+    for (int shards : {1, 8}) {
+      for (int threads : {1, 4, 8}) {
+        int64_t executed = 0;
+        const DriverReport r =
+            RunMedian(/*repeats=*/7, zipf_s, shards, threads,
+                      queries_per_thread, num_sources, &executed,
+                      &total_violations);
+        if (threads > 1 &&
+            executed ==
+                static_cast<int64_t>(threads) * queries_per_thread) {
+          concurrent_progress = true;
         }
+        if (shards == 8 && zipf_s == 0.0) {
+          if (threads == 1) qps_1t = r.queries_per_second;
+          if (threads == 8) qps_8t = r.queries_per_second;
+        }
+        std::printf(
+            "  %5.1f %7d %8d %12.0f %9.1f %9.1f %9.1f %10.3f %7lld %11lld\n",
+            zipf_s, shards, threads, r.queries_per_second, r.latency_p50_us,
+            r.latency_p95_us, r.latency_p99_us, r.costs.CostRate(),
+            static_cast<long long>(r.ticks),
+            static_cast<long long>(r.violations));
+        report.AddRun()
+            .Str("scenario", "steady")
+            .Str("mode", "seqlock")
+            .Num("zipf_s", zipf_s)
+            .Int("shards", shards)
+            .Int("threads", threads)
+            .Num("point_read_fraction", kPointReadFraction)
+            .Num("qps", r.queries_per_second)
+            .Num("p50_us", r.latency_p50_us)
+            .Num("p95_us", r.latency_p95_us)
+            .Num("p99_us", r.latency_p99_us)
+            .Num("cost_rate", r.costs.CostRate())
+            .Int("queries", r.queries)
+            .Int("ticks", r.ticks)
+            .Int("value_refreshes", r.costs.value_refreshes)
+            .Int("query_refreshes", r.costs.query_refreshes)
+            .Int("rejected_updates", r.rejected_updates)
+            .Int("rejected_query_ids", r.rejected_query_ids)
+            .Int("violations", r.violations);
       }
     }
   }
@@ -308,9 +269,8 @@ int main(int argc, char** argv) {
     phases[2].zipf_s = 1.1;
     phases[2].update_burst = 0;
     int64_t executed = 0;
-    DriverReport r = RunOne(ReadLockMode::kSeqlock, 0.0, 8, 4,
-                            queries_per_thread, num_sources, phases,
-                            &executed);
+    DriverReport r = RunOne(0.0, 8, 4, queries_per_thread, num_sources,
+                            phases, &executed);
     total_violations += r.violations;
     std::printf("  %lld queries in %.2fs -> %.0f q/s, p99 %.1f us, "
                 "%lld ticks, %lld violations\n",
@@ -347,7 +307,6 @@ int main(int argc, char** argv) {
     config.num_shards = 8;
     config.system.cache_capacity = static_cast<size_t>(num_sources) * 3 / 4;
     config.seed = kSeed;
-    config.read_lock_mode = ReadLockMode::kSeqlock;
     ShardedEngine engine(config, Sources(num_sources));
     DriverConfig driver;
     driver.num_threads = 2;
@@ -381,51 +340,12 @@ int main(int argc, char** argv) {
         .Int("violations", r.violations);
   }
 
-  // Headline comparison: the two modes at the widest concurrency. The
-  // committed BENCH_runtime.json must show seqlock >= shared at 8 threads
-  // (the seqlock refactor's acceptance bar); the note below reports it,
-  // but the exit status deliberately gates only the correctness invariants
-  // (determinism, precision, progress) — a scheduler-noisy smoke run on an
-  // arbitrary host must not flake CI over a perf race it cannot resolve.
-  bench::Banner("SUMMARY", "seqlock vs shared at 8 threads");
-  bool seqlock_holds = true;
-  for (double zipf_s : {0.0, 1.1}) {
-    for (int shards : {1, 8}) {
-      double qps[2] = {0.0, 0.0};
-      for (const SweepPoint& point : sweep) {
-        if (point.threads != 8 || point.shards != shards ||
-            point.zipf_s != zipf_s) {
-          continue;
-        }
-        qps[static_cast<int>(point.mode)] = point.report.queries_per_second;
-      }
-      double seqlock = qps[static_cast<int>(ReadLockMode::kSeqlock)];
-      double shared = qps[static_cast<int>(ReadLockMode::kShared)];
-      if (seqlock < shared) seqlock_holds = false;
-      std::printf(
-          "  8 threads, %d shard%s, zipf %.1f: seqlock %8.0f | shared "
-          "%8.0f q/s  (seqlock vs shared %+.1f%%)\n",
-          shards, shards == 1 ? " " : "s", zipf_s, seqlock, shared,
-          shared > 0.0 ? 100.0 * (seqlock - shared) / shared : 0.0);
-    }
-  }
-
   // Scaling gate, honestly conditional: the slab's zero-hash seqlock read
   // path must scale 8 threads >= 3x 1 thread (8 shards, uniform ids), but
   // only a host with >= 8 hardware threads can run 8 readers in parallel —
   // on smaller hosts the ratio is recorded in the trajectory and the gate
   // is skipped, never faked.
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  double qps_1t = 0.0;
-  double qps_8t = 0.0;
-  for (const SweepPoint& point : sweep) {
-    if (point.mode != ReadLockMode::kSeqlock || point.shards != 8 ||
-        point.zipf_s != 0.0) {
-      continue;
-    }
-    if (point.threads == 1) qps_1t = point.report.queries_per_second;
-    if (point.threads == 8) qps_8t = point.report.queries_per_second;
-  }
   const double scaling = qps_1t > 0.0 ? qps_8t / qps_1t : 0.0;
   const bool scaling_gated = hw_threads >= 8;
   const bool scaling_ok = !scaling_gated || scaling >= 3.0;
@@ -438,8 +358,7 @@ int main(int argc, char** argv) {
   bench::Note(wrote ? "trajectory written to " + out_path
                     : "FAILED to write " + out_path);
   bench::Note(deterministic
-                  ? "determinism: 1 shard / 1 thread MATCHES CacheSystem in "
-                    "all modes"
+                  ? "determinism: 1 shard / 1 thread MATCHES CacheSystem"
                   : "determinism: MISMATCH vs CacheSystem (BUG)");
   bench::Note(total_violations == 0
                   ? "precision: every concurrent result met its constraint"
@@ -447,9 +366,6 @@ int main(int argc, char** argv) {
   bench::Note(concurrent_progress
                   ? "concurrency: multi-thread runs completed all queries"
                   : "concurrency: multi-thread runs made no progress (BUG)");
-  bench::Note(seqlock_holds
-                  ? "seqlock read path >= shared-lock path at 8 threads"
-                  : "seqlock read path LOST to shared locks at 8 threads");
   {
     char scaling_note[160];
     if (scaling_gated) {

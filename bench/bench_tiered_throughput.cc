@@ -4,16 +4,16 @@
 //
 // Part 1 re-validates the tier's equivalence claim: a TieredEngine driven
 // in lockstep from one thread must reproduce the sequential
-// HierarchicalSystem's answers and per-link (WAN/LAN) charges exactly, in
-// every read-lock mode — the 1-edge/1-shard case is the pinned acceptance
-// bar, and a multi-edge case checks that per-entity policy RNG streams
-// keep the guarantee independent of topology.
+// HierarchicalSystem's answers and per-link (WAN/LAN) charges exactly —
+// the 1-edge/1-shard case is the pinned acceptance bar, and a multi-edge
+// case checks that per-entity policy RNG streams keep the guarantee
+// independent of topology.
 //
 // Part 2 sweeps the geo-skewed tiered serving workload (per-edge Zipf
 // hotspots, precision-bounded edge reads, updates streaming through the
-// bus) across edges × worker threads × read-lock modes. "seqlock" edge
-// reads validate an optimistic per-entry versioned read and take no lock
-// at all; "shared" is the lock baseline. Every returned
+// bus) across edges × worker threads. Edge reads validate an optimistic
+// per-entry versioned read and take no lock at all (rows keep "mode":
+// "seqlock" so they compare with older trajectories). Every returned
 // interval is checked against its constraint; violations must be 0.
 //
 // Part 3 runs the phase-shifting edge-affinity scenario: each thread's
@@ -43,19 +43,6 @@ using namespace apc;
 constexpr uint64_t kSeed = 2026;
 constexpr double kZipfS = 1.1;
 
-constexpr ReadLockMode kModes[] = {ReadLockMode::kSeqlock,
-                                   ReadLockMode::kShared};
-
-const char* ModeName(ReadLockMode mode) {
-  switch (mode) {
-    case ReadLockMode::kSeqlock:
-      return "seqlock";
-    case ReadLockMode::kShared:
-      return "shared";
-  }
-  return "?";
-}
-
 HierarchyConfig SequentialConfig(int sources, int edges) {
   HierarchyConfig config;
   config.num_sources = sources;
@@ -69,8 +56,7 @@ HierarchyConfig SequentialConfig(int sources, int edges) {
   return config;
 }
 
-TieredConfig TieredFrom(const HierarchyConfig& sequential, int num_shards,
-                        ReadLockMode mode) {
+TieredConfig TieredFrom(const HierarchyConfig& sequential, int num_shards) {
   TieredConfig config;
   config.num_edges = sequential.num_edges;
   config.num_shards = num_shards;
@@ -78,7 +64,6 @@ TieredConfig TieredFrom(const HierarchyConfig& sequential, int num_shards,
   config.lan = sequential.lan;
   config.regional_policy = sequential.regional_policy;
   config.edge_policy = sequential.edge_policy;
-  config.read_lock_mode = mode;
   config.seed = kSeed;
   return config;
 }
@@ -89,14 +74,14 @@ std::vector<std::unique_ptr<UpdateStream>> Streams(int n, uint64_t seed) {
 
 /// Part 1: lockstep parity vs the sequential HierarchicalSystem — same
 /// answers tick for tick, same WAN and LAN charges at the end.
-bool ParityCheck(int num_sources, int num_edges, ReadLockMode mode) {
+bool ParityCheck(int num_sources, int num_edges) {
   constexpr int64_t kTicks = 400;
   HierarchyConfig seq_config = SequentialConfig(num_sources, num_edges);
   HierarchicalSystem sequential(seq_config, Streams(num_sources, kSeed ^ 0x7),
                                 kSeed);
   sequential.BeginMeasurement(0);
 
-  TieredEngine tiered(TieredFrom(seq_config, 1, mode),
+  TieredEngine tiered(TieredFrom(seq_config, 1),
                       Streams(num_sources, kSeed ^ 0x7));
   tiered.PopulateInitial(0);
   tiered.BeginMeasurement(0);
@@ -128,9 +113,9 @@ bool ParityCheck(int num_sources, int num_edges, ReadLockMode mode) {
           sequential.wan_costs().total_cost() +
               sequential.lan_costs().total_cost();
   std::printf(
-      "  %-9s %d edge%s vs HierarchicalSystem: wan vr=%lld qr=%lld | "
+      "  %d edge%s vs HierarchicalSystem: wan vr=%lld qr=%lld | "
       "lan vr=%lld qr=%lld  ->  %s\n",
-      ModeName(mode), num_edges, num_edges == 1 ? " " : "s",
+      num_edges, num_edges == 1 ? " " : "s",
       static_cast<long long>(wan.value_refreshes),
       static_cast<long long>(wan.query_refreshes),
       static_cast<long long>(lan.value_refreshes),
@@ -139,20 +124,13 @@ bool ParityCheck(int num_sources, int num_edges, ReadLockMode mode) {
   return match;
 }
 
-struct SweepPoint {
-  ReadLockMode mode = ReadLockMode::kSeqlock;
-  int edges = 1;
-  int threads = 1;
-  TieredDriverReport report;
-};
-
-TieredDriverReport RunOne(ReadLockMode mode, int edges, int threads,
-                          int64_t queries_per_thread, int num_sources,
-                          int num_phases, int64_t* reads_executed) {
+TieredDriverReport RunOne(int edges, int threads, int64_t queries_per_thread,
+                          int num_sources, int num_phases,
+                          int64_t* reads_executed) {
   HierarchyConfig seq_config = SequentialConfig(num_sources, edges);
   // Shards scale with the host, never past the source count.
   int shards = std::min(num_sources, 4);
-  TieredEngine engine(TieredFrom(seq_config, shards, mode),
+  TieredEngine engine(TieredFrom(seq_config, shards),
                       Streams(num_sources, kSeed ^ 0x31));
 
   TieredWorkloadConfig workload;
@@ -164,7 +142,7 @@ TieredDriverReport RunOne(ReadLockMode mode, int edges, int threads,
   workload.run_updates = true;
   workload.update_burst = 8;
   workload.num_phases = num_phases;
-  // Mode-independent seed: every lock mode faces identical draws.
+  // Seeded by the cell alone: every repeat faces identical draws.
   workload.seed = kSeed + static_cast<uint64_t>(edges * 1000 + threads * 10);
   TieredDriverReport report = RunTieredWorkload(engine, workload);
   *reads_executed = engine.counters().reads.load();
@@ -174,15 +152,15 @@ TieredDriverReport RunOne(ReadLockMode mode, int edges, int threads,
 /// Median-of-repeats, like bench_runtime_throughput: the committed
 /// trajectory tracks the code, not the interleaving lottery. Violations
 /// accumulate across ALL repeats.
-TieredDriverReport RunMedian(int repeats, ReadLockMode mode, int edges,
-                             int threads, int64_t queries_per_thread,
-                             int num_sources, int64_t* reads_executed,
+TieredDriverReport RunMedian(int repeats, int edges, int threads,
+                             int64_t queries_per_thread, int num_sources,
+                             int64_t* reads_executed,
                              int64_t* all_violations) {
   std::vector<TieredDriverReport> reports;
   std::vector<int64_t> executed(static_cast<size_t>(repeats), 0);
   for (int r = 0; r < repeats; ++r) {
-    reports.push_back(RunOne(mode, edges, threads, queries_per_thread,
-                             num_sources, /*num_phases=*/1,
+    reports.push_back(RunOne(edges, threads, queries_per_thread, num_sources,
+                             /*num_phases=*/1,
                              &executed[static_cast<size_t>(r)]));
     *all_violations += reports.back().violations;
   }
@@ -224,75 +202,59 @@ int main(int argc, char** argv) {
 
   bench::Banner("TIERED-1",
                 "lockstep TieredEngine reproduces HierarchicalSystem");
-  bool parity = true;
-  for (ReadLockMode mode : kModes) {
-    parity = ParityCheck(/*num_sources=*/8, /*num_edges=*/1, mode) && parity;
-  }
-  parity = ParityCheck(/*num_sources=*/8, /*num_edges=*/3,
-                       ReadLockMode::kSeqlock) &&
-           parity;
+  bool parity = ParityCheck(/*num_sources=*/8, /*num_edges=*/1);
+  parity = ParityCheck(/*num_sources=*/8, /*num_edges=*/3) && parity;
 
-  bench::Banner("TIERED-2",
-                "geo-skewed edge serving: edges x threads x read mode");
+  bench::Banner("TIERED-2", "geo-skewed edge serving: edges x threads");
   bench::Note("per-edge Zipf hotspots; seqlock edge reads take no lock;");
   bench::Note("escalation: edge -> regional (lan Cqr) -> source (wan Cqr)");
-  std::printf("\n  %9s %6s %8s %12s %9s %9s %10s %10s %7s %11s\n", "mode",
-              "edges", "threads", "reads/s", "p50 us", "p99 us", "edge-hit%",
+  std::printf("\n  %6s %8s %12s %9s %9s %10s %10s %7s %11s\n", "edges",
+              "threads", "reads/s", "p50 us", "p99 us", "edge-hit%",
               "cost/tick", "ticks", "violations");
 
-  std::vector<SweepPoint> sweep;
   int64_t total_violations = 0;
   bool concurrent_progress = false;
-  for (ReadLockMode mode : kModes) {
-    for (int edges : {1, 4}) {
-      for (int threads : {1, 4, 8}) {
-        SweepPoint point;
-        point.mode = mode;
-        point.edges = edges;
-        point.threads = threads;
-        int64_t executed = 0;
-        point.report =
-            RunMedian(/*repeats=*/5, mode, edges, threads,
-                      queries_per_thread, num_sources, &executed,
-                      &total_violations);
-        const TieredDriverReport& r = point.report;
-        if (threads > 1 &&
-            executed == static_cast<int64_t>(threads) * queries_per_thread) {
-          concurrent_progress = true;
-        }
-        double edge_hit_pct =
-            r.queries > 0
-                ? 100.0 * static_cast<double>(r.edge_hits) /
-                      static_cast<double>(r.queries)
-                : 0.0;
-        std::printf(
-            "  %9s %6d %8d %12.0f %9.1f %9.1f %9.1f%% %10.3f %7lld %11lld\n",
-            ModeName(mode), edges, threads, r.queries_per_second,
-            r.latency_p50_us, r.latency_p99_us, edge_hit_pct,
-            r.TotalCostRate(), static_cast<long long>(r.ticks),
-            static_cast<long long>(r.violations));
-        report.AddRun()
-            .Str("scenario", "steady")
-            .Str("mode", ModeName(mode))
-            .Int("edges", edges)
-            .Int("threads", threads)
-            .Num("zipf_s", kZipfS)
-            .Num("qps", r.queries_per_second)
-            .Num("p50_us", r.latency_p50_us)
-            .Num("p95_us", r.latency_p95_us)
-            .Num("p99_us", r.latency_p99_us)
-            .Num("wan_cost_rate", r.wan.CostRate())
-            .Num("lan_cost_rate", r.lan.CostRate())
-            .Num("cost_rate", r.TotalCostRate())
-            .Int("queries", r.queries)
-            .Int("ticks", r.ticks)
-            .Int("edge_hits", r.edge_hits)
-            .Int("regional_hits", r.regional_hits)
-            .Int("source_pulls", r.source_pulls)
-            .Int("derived_pushes", r.derived_pushes)
-            .Int("violations", r.violations);
-        sweep.push_back(std::move(point));
+  for (int edges : {1, 4}) {
+    for (int threads : {1, 4, 8}) {
+      int64_t executed = 0;
+      const TieredDriverReport r =
+          RunMedian(/*repeats=*/5, edges, threads, queries_per_thread,
+                    num_sources, &executed, &total_violations);
+      if (threads > 1 &&
+          executed == static_cast<int64_t>(threads) * queries_per_thread) {
+        concurrent_progress = true;
       }
+      double edge_hit_pct =
+          r.queries > 0
+              ? 100.0 * static_cast<double>(r.edge_hits) /
+                    static_cast<double>(r.queries)
+              : 0.0;
+      std::printf(
+          "  %6d %8d %12.0f %9.1f %9.1f %9.1f%% %10.3f %7lld %11lld\n",
+          edges, threads, r.queries_per_second, r.latency_p50_us,
+          r.latency_p99_us, edge_hit_pct, r.TotalCostRate(),
+          static_cast<long long>(r.ticks),
+          static_cast<long long>(r.violations));
+      report.AddRun()
+          .Str("scenario", "steady")
+          .Str("mode", "seqlock")
+          .Int("edges", edges)
+          .Int("threads", threads)
+          .Num("zipf_s", kZipfS)
+          .Num("qps", r.queries_per_second)
+          .Num("p50_us", r.latency_p50_us)
+          .Num("p95_us", r.latency_p95_us)
+          .Num("p99_us", r.latency_p99_us)
+          .Num("wan_cost_rate", r.wan.CostRate())
+          .Num("lan_cost_rate", r.lan.CostRate())
+          .Num("cost_rate", r.TotalCostRate())
+          .Int("queries", r.queries)
+          .Int("ticks", r.ticks)
+          .Int("edge_hits", r.edge_hits)
+          .Int("regional_hits", r.regional_hits)
+          .Int("source_pulls", r.source_pulls)
+          .Int("derived_pushes", r.derived_pushes)
+          .Int("violations", r.violations);
     }
   }
 
@@ -302,8 +264,8 @@ int main(int argc, char** argv) {
   {
     int64_t executed = 0;
     TieredDriverReport r =
-        RunOne(ReadLockMode::kSeqlock, /*edges=*/4, /*threads=*/4,
-               queries_per_thread, num_sources, /*num_phases=*/3, &executed);
+        RunOne(/*edges=*/4, /*threads=*/4, queries_per_thread, num_sources,
+               /*num_phases=*/3, &executed);
     total_violations += r.violations;
     std::printf("  %lld reads in %.2fs -> %.0f reads/s, p99 %.1f us, "
                 "%lld ticks, hit mix %lld/%lld/%lld, %lld violations\n",
@@ -337,28 +299,6 @@ int main(int argc, char** argv) {
         .Int("violations", r.violations);
   }
 
-  // Headline: the two modes at the widest concurrency. As in
-  // bench_runtime_throughput, the exit status gates only the correctness
-  // invariants — perf ordering is reported, not enforced, because a smoke
-  // run on an arbitrary host cannot resolve a perf race.
-  bench::Banner("SUMMARY", "seqlock vs shared at 8 threads");
-  bool seqlock_holds = true;
-  for (int edges : {1, 4}) {
-    double qps[2] = {0.0, 0.0};
-    for (const SweepPoint& point : sweep) {
-      if (point.threads != 8 || point.edges != edges) continue;
-      qps[static_cast<int>(point.mode)] = point.report.queries_per_second;
-    }
-    double seqlock = qps[static_cast<int>(ReadLockMode::kSeqlock)];
-    double shared = qps[static_cast<int>(ReadLockMode::kShared)];
-    if (seqlock < shared) seqlock_holds = false;
-    std::printf(
-        "  8 threads, %d edge%s: seqlock %8.0f | shared %8.0f reads/s  "
-        "(seqlock vs shared %+.1f%%)\n",
-        edges, edges == 1 ? " " : "s", seqlock, shared,
-        shared > 0.0 ? 100.0 * (seqlock - shared) / shared : 0.0);
-  }
-
   bool wrote = report.WriteFile(out_path);
   std::printf("\n");
   bench::Note(wrote ? "trajectory written to " + out_path
@@ -372,9 +312,6 @@ int main(int argc, char** argv) {
   bench::Note(concurrent_progress
                   ? "concurrency: multi-thread runs completed all reads"
                   : "concurrency: multi-thread runs made no progress (BUG)");
-  bench::Note(seqlock_holds
-                  ? "seqlock edge reads >= shared-lock reads at 8 threads"
-                  : "seqlock edge reads LOST to shared locks at 8 threads");
   return (parity && total_violations == 0 && concurrent_progress && wrote)
              ? 0
              : 1;

@@ -46,7 +46,7 @@ enum class TraceLevel : uint8_t {
 };
 
 enum class TraceEvent : uint8_t {
-  kReadStart,         // id = source, arg = read-lock mode (kFull only)
+  kReadStart,         // id = source (kFull only)
   kSeqlockRetry,      // id = source whose optimistic read tore
   kSharedFallback,    // id = source (or -1 for a batch), arg = torn count
   kEscalateRegional,  // id = source escalating edge -> regional (kFull)

@@ -15,25 +15,6 @@
 
 namespace apc {
 
-/// How snapshot reads acquire a shard. The runtime's hot path is a read
-/// that the cache already satisfies; the two modes trade lock traffic on
-/// exactly that path and exist side by side so the bench measures (rather
-/// than assumes) what the seqlock buys:
-///
-///  * kSeqlock — the default. Snapshot reads validate an optimistic
-///               per-entry read against the ProtocolTable's versioned
-///               slots and take NO shard lock at all; only a torn read
-///               (a racing refresh of the same entry) falls back to the
-///               shared lock. Refreshes still serialize exclusively.
-///  * kShared  — snapshot reads take the shard's shared_mutex shared
-///               (the pre-seqlock runtime): readers don't serialize
-///               against each other, but every read still pays two
-///               atomic RMWs on the shared lock word.
-enum class ReadLockMode {
-  kSeqlock,
-  kShared,
-};
-
 /// Engine-wide tallies kept in lock-free counters so monitoring threads can
 /// observe totals without taking any shard lock. The engine bumps these
 /// alongside its (mutex-guarded) CostTrackers; after a quiescent point the
@@ -87,11 +68,12 @@ struct RuntimeCounters {
   /// Edge reads naming an edge or id the engine does not host.
   obs::Counter rejected_reads;
 
-  /// Observability-only tallies: seqlock reads
-  /// that tore against a racing refresh, the shared-lock acquisitions
-  /// taken to settle them, and the charged-but-lost pushes per link —
-  /// source -> regional (WAN) and regional -> edge (LAN). At quiescence
-  /// the loss tallies equal the exact lock-summed
+  /// Observability-only tallies: origin-tier seqlock reads that tore
+  /// against a racing refresh (a torn edge read escalates uncounted), the
+  /// shared-lock acquisitions taken to settle them (a torn PointRead
+  /// re-checks under the exclusive lock instead), and the charged-but-lost
+  /// pushes per link — source -> regional (WAN) and regional -> edge
+  /// (LAN). At quiescence the loss tallies equal the exact lock-summed
   /// lost_wan_pushes()/lost_lan_pushes() accessors.
   obs::Counter seqlock_retries;
   obs::Counter shared_fallbacks;

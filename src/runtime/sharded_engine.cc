@@ -27,7 +27,6 @@ TieredEngine::Layout ShardedEngine::ShardedLayout(
   tiered.wan = config.system.costs;
   tiered.regional_capacity = capacity;
   tiered.wan_push_loss = config.system.push_loss_probability;
-  tiered.read_lock_mode = config.read_lock_mode;
   tiered.subscription_hub_capacity = config.subscription_hub_capacity;
   tiered.seed = config.seed;
   layout.sources = std::move(sources);

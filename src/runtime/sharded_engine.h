@@ -18,10 +18,6 @@ struct EngineConfig {
   SystemConfig system;
   int num_shards = 1;
   uint64_t seed = 0;
-  /// How snapshot reads acquire shards (see ReadLockMode): optimistic
-  /// per-entry seqlock validation by default; kShared is the bench
-  /// baseline the seqlock path is measured against.
-  ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
   /// Capacity of the subscription NotificationHub (backpressure bound for
   /// the notifier; must be positive).
   size_t subscription_hub_capacity = 1024;

@@ -516,13 +516,11 @@ void TieredEngine::ApplyBurstLocked(Shard& s, int shard,
 Interval TieredEngine::regional_interval(int id, int64_t now) const {
   const Shard& s = *origin_[static_cast<size_t>(ShardOf(id))];
   if (SlotOfNoLock(s, id) == EntryStore::kNoSlot) return Interval::Unbounded();
-  if (config_.read_lock_mode == ReadLockMode::kSeqlock) {
-    Interval out;
-    if (TryVisibleNoLock(s, id, now, &out) != SnapshotRead::kTorn) return out;
-    // Torn by a racing refresh: settle it under the shared lock.
-    NoteSeqlockRetry(counters_, id, now);
-    NoteSharedFallback(counters_, id, now, 1);
-  }
+  Interval out;
+  if (TryVisibleNoLock(s, id, now, &out) != SnapshotRead::kTorn) return out;
+  // Torn by a racing refresh: settle it under the shared lock.
+  NoteSeqlockRetry(counters_, id, now);
+  NoteSharedFallback(counters_, id, now, 1);
   ReaderMutexLock lock(s.mu);
   return s.table.VisibleInterval(id, now);
 }
@@ -531,37 +529,30 @@ void TieredEngine::FillIntervals(const Shard& s,
                                  const std::vector<ShardSlot>& slots,
                                  std::vector<QueryItem>* items,
                                  int64_t now) const {
-  if (config_.read_lock_mode == ReadLockMode::kSeqlock) {
-    // Optimistic pass: no lock at all for entries whose seqlock validates.
-    // Torn entries (a refresh raced the copy) are collected and settled
-    // under one shared acquisition — rare, so the hot path allocates
-    // nothing and touches no lock word. The scratch is thread-local so the
-    // steady-state read performs zero heap allocations (asserted by
-    // tests/alloc_free_read_test.cc).
-    static thread_local std::vector<size_t> torn;
-    torn.clear();
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const auto& [pos, id] = slots[i];
-      Interval out;
-      if (TryVisibleNoLock(s, id, now, &out) == SnapshotRead::kTorn) {
-        NoteSeqlockRetry(counters_, id, now);
-        torn.push_back(i);
-      } else {
-        (*items)[pos].interval = out;
-      }
+  // Optimistic pass: no lock at all for entries whose seqlock validates.
+  // Torn entries (a refresh raced the copy) are collected and settled
+  // under one shared acquisition — rare, so the hot path allocates
+  // nothing and touches no lock word. The scratch is thread-local so the
+  // steady-state read performs zero heap allocations (asserted by
+  // tests/alloc_free_read_test.cc).
+  static thread_local std::vector<size_t> torn;
+  torn.clear();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const auto& [pos, id] = slots[i];
+    Interval out;
+    if (TryVisibleNoLock(s, id, now, &out) == SnapshotRead::kTorn) {
+      NoteSeqlockRetry(counters_, id, now);
+      torn.push_back(i);
+    } else {
+      (*items)[pos].interval = out;
     }
-    if (torn.empty()) return;
-    NoteSharedFallback(counters_, /*id=*/-1, now,
-                       static_cast<int64_t>(torn.size()));
-    ReaderMutexLock lock(s.mu);
-    for (size_t i : torn) {
-      const auto& [pos, id] = slots[i];
-      (*items)[pos].interval = s.table.VisibleInterval(id, now);
-    }
-    return;
   }
+  if (torn.empty()) return;
+  NoteSharedFallback(counters_, /*id=*/-1, now,
+                     static_cast<int64_t>(torn.size()));
   ReaderMutexLock lock(s.mu);
-  for (const auto& [pos, id] : slots) {
+  for (size_t i : torn) {
+    const auto& [pos, id] = slots[i];
     (*items)[pos].interval = s.table.VisibleInterval(id, now);
   }
 }
@@ -717,10 +708,9 @@ Interval TieredEngine::PointRead(int id, double max_width, int64_t now) {
   obs::ReaderScope reader(obs::ReaderKind::kQuery, /*reader_id=*/id);
   counters_.queries_executed.fetch_add(1, std::memory_order_relaxed);
   // Root span of a point read's lifecycle (kFull only, like kReadStart):
-  // retries, fallbacks, and the exact pull all land under it.
+  // a torn read's retry and the exact pull land under it.
   obs::TraceScope span(obs::SpanKind::kPointRead, id, now);
-  obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now,
-                             static_cast<int64_t>(config_.read_lock_mode));
+  obs::TraceRecorder::Record(obs::TraceEvent::kReadStart, id, now);
   // An invalid constraint or an unowned id is rejected before any lock: no
   // interval meets the one, the other has no slot, so either could only
   // pull or miss, and a stream of them must not serialize the shard
@@ -737,28 +727,19 @@ Interval TieredEngine::PointRead(int id, double max_width, int64_t now) {
     Reject(counters_.rejected_query_ids, "unowned query id", id, now);
     return Interval::Unbounded();
   }
-  if (config_.read_lock_mode == ReadLockMode::kSeqlock) {
-    Interval visible;
-    SnapshotRead read = TryVisibleNoLock(s, id, now, &visible);
-    if (read == SnapshotRead::kHit && visible.Width() <= max_width) {
-      return visible;
-    }
-    if (read == SnapshotRead::kTorn) NoteSeqlockRetry(counters_, id, now);
-  } else {
-    ReaderMutexLock lock(s.mu);
-    const ProtocolEntry* entry = s.table.Find(id);
-    if (entry != nullptr) {
-      Interval visible = entry->approx.AtTime(now);
-      if (visible.Width() <= max_width) return visible;
-    }
+  Interval visible;
+  const SnapshotRead read = TryVisibleNoLock(s, id, now, &visible);
+  if (read == SnapshotRead::kHit && visible.Width() <= max_width) {
+    return visible;
   }
+  if (read == SnapshotRead::kTorn) NoteSeqlockRetry(counters_, id, now);
   WriterMutexLock lock(s.mu);
-  // Check again under the exclusive lock: a refresh may have landed
-  // between the two acquisitions, making the pull (and its Cqr charge)
+  // Check again under the exclusive lock: a refresh may have landed since
+  // the snapshot (or torn it), making the pull (and its Cqr charge)
   // needless.
   const ProtocolEntry* entry = s.table.Find(id);
   if (entry != nullptr) {
-    Interval visible = entry->approx.AtTime(now);
+    visible = entry->approx.AtTime(now);
     if (visible.Width() <= max_width) return visible;
   }
   Interval result =
@@ -794,23 +775,14 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
   EdgeShard& es =
       *edges_[static_cast<size_t>(edge)][static_cast<size_t>(shard)];
 
-  // Edge-local fast path — the read the protocol optimizes for. In
-  // seqlock mode this touches no lock word at all; a torn read simply
-  // escalates into the locked path below, which re-checks.
-  if (config_.read_lock_mode == ReadLockMode::kSeqlock) {
-    Interval visible;
-    if (TryVisibleNoLock(es, id, now, &visible) == SnapshotRead::kHit &&
-        visible.Width() <= constraint) {
-      counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
-      return visible;
-    }
-  } else {
-    ReaderMutexLock lock(es.mu);
-    Interval visible = es.table.VisibleInterval(id, now);
-    if (visible.Width() <= constraint) {
-      counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
-      return visible;
-    }
+  // Edge-local fast path — the read the protocol optimizes for. It
+  // touches no lock word at all; a torn read simply escalates, uncounted,
+  // into the locked path below, which re-checks.
+  Interval visible;
+  if (TryVisibleNoLock(es, id, now, &visible) == SnapshotRead::kHit &&
+      visible.Width() <= constraint) {
+    counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
+    return visible;
   }
 
   // Escalation. Lock order is always origin shard before edge shard;
@@ -827,7 +799,7 @@ Interval TieredEngine::Read(int edge, int id, double constraint,
       // escalation) may have narrowed it since the optimistic miss, in
       // which case nothing is charged.
       ReaderMutexLock elock(es.mu);
-      Interval visible = es.table.VisibleInterval(id, now);
+      visible = es.table.VisibleInterval(id, now);
       if (visible.Width() <= constraint) {
         counters_.edge_hits.fetch_add(1, std::memory_order_relaxed);
         return visible;

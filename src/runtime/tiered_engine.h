@@ -53,9 +53,6 @@ struct TieredConfig {
   /// dropped. 0 disables.
   double wan_push_loss = 0.0;
   double lan_push_loss = 0.0;
-  /// How snapshot reads acquire their shard (see ReadLockMode): optimistic
-  /// seqlock validation by default; kShared is the bench baseline.
-  ReadLockMode read_lock_mode = ReadLockMode::kSeqlock;
   /// Capacity of the subscription NotificationHub (must be positive).
   size_t subscription_hub_capacity = 1024;
   uint64_t seed = 0;
@@ -262,7 +259,7 @@ class TieredEngine {
 
   /// The interval a regional-tier query sees for `id` at `now` — the
   /// subscription snapshot too: the seqlock read, settled under the shared
-  /// lock when torn (always taken shared in kShared mode).
+  /// lock when torn.
   Interval regional_interval(int id, int64_t now = 0) const;
   /// Observability accessors (consistent snapshots under the owning shard
   /// locks). Unknown ids/edges yield the unbounded interval / NaN.
@@ -423,8 +420,7 @@ class TieredEngine {
 
   /// Fills `items->at(slot.first).interval` with the visible interval of
   /// `slot.second` for every slot of `s`: no lock for entries whose seqlock
-  /// read validates, one shared acquisition for any that tore (or for all,
-  /// in kShared mode).
+  /// read validates, one shared acquisition for any that tore.
   void FillIntervals(const Shard& s, const std::vector<ShardSlot>& slots,
                      std::vector<QueryItem>* items, int64_t now) const;
 

@@ -1,8 +1,8 @@
 // Cost & precision attribution (obs/attribution.h): the reconciliation
 // contract is the whole point — an AttributionTable attached from
 // construction, with measurement started at tick 0, mirrors the engines'
-// CostTracker tallies BIT FOR BIT in every read mode, splits Cqr charges
-// by the ambient reader, and keeps a bounded per-source width history.
+// CostTracker tallies BIT FOR BIT, splits Cqr charges by the ambient
+// reader, and keeps a bounded per-source width history.
 #include "obs/attribution.h"
 
 #include <gtest/gtest.h>
@@ -84,52 +84,49 @@ TEST(ReaderScopeTest, NestsAndRestores) {
   EXPECT_EQ(obs::ReaderScope::current_kind(), obs::ReaderKind::kNone);
 }
 
-// The flat engine in both read-lock modes: every mode's pull paths
-// (seqlock fast path and fallback, shared acquisition) must route their
-// charges through the same attribution sites.
-TEST(AttributionTest, ShardedReconcilesWithCostTrackerInAllReadModes) {
-  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared}) {
-    obs::AttributionTable attribution;
-    EngineConfig config;
-    config.num_shards = 4;
-    config.system.cache_capacity = 24;
-    config.seed = kSeed;
-    config.read_lock_mode = mode;
-    ShardedEngine engine(
-        config, BuildRandomWalkSources(32, RandomWalkParams{},
-                                       AdaptivePolicyParams{}, kSeed));
-    engine.SetAttribution(&attribution);  // before the first charge
-    engine.PopulateInitial(0);
-    engine.BeginMeasurement(0);
-    for (int64_t now = 1; now <= 60; ++now) {
-      engine.TickAll(now);
-      if (now % 5 == 0) {
-        for (int id = 0; id < 32; id += 3) {
-          engine.PointRead(id, 0.0, now);  // exact: forces a Cqr pull
-        }
-        Query query;
-        query.kind = AggregateKind::kSum;
-        for (int id : {1, 2, 4, 8, 16}) query.source_ids.push_back(id);
-        query.constraint = 0.0;
-        engine.ExecuteQuery(query, now);
+// The flat engine: its pull paths (a point read's exclusive pull, an
+// aggregate's batched pulls) must route their charges through the same
+// attribution sites.
+TEST(AttributionTest, ShardedReconcilesWithCostTracker) {
+  obs::AttributionTable attribution;
+  EngineConfig config;
+  config.num_shards = 4;
+  config.system.cache_capacity = 24;
+  config.seed = kSeed;
+  ShardedEngine engine(
+      config, BuildRandomWalkSources(32, RandomWalkParams{},
+                                     AdaptivePolicyParams{}, kSeed));
+  engine.SetAttribution(&attribution);  // before the first charge
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+  for (int64_t now = 1; now <= 60; ++now) {
+    engine.TickAll(now);
+    if (now % 5 == 0) {
+      for (int id = 0; id < 32; id += 3) {
+        engine.PointRead(id, 0.0, now);  // exact: forces a Cqr pull
       }
+      Query query;
+      query.kind = AggregateKind::kSum;
+      for (int id : {1, 2, 4, 8, 16}) query.source_ids.push_back(id);
+      query.constraint = 0.0;
+      engine.ExecuteQuery(query, now);
     }
-    engine.EndMeasurement(61);
-    EngineCosts costs = engine.TotalCosts();
-    ASSERT_GT(costs.value_refreshes, 0);
-    ASSERT_GT(costs.query_refreshes, 0);
-
-    obs::AttributionTable::Totals totals = BucketChecked(attribution);
-    // Bit-for-bit: same counts, and the same cvr/cqr doubles summed.
-    EXPECT_EQ(totals.value_refreshes, costs.value_refreshes);
-    EXPECT_EQ(totals.query_refreshes, costs.query_refreshes);
-    EXPECT_EQ(totals.value_cost + totals.query_cost, costs.total_cost);
-    // No subscriptions and every read tagged: all Cqr is query-reader.
-    EXPECT_EQ(totals.query_reader_refreshes, totals.query_refreshes);
-    EXPECT_EQ(totals.subscription_reader_refreshes, 0);
-    EXPECT_EQ(totals.unattributed_query_refreshes, 0);
-    CheckSnapshotInvariants(attribution, 60);
   }
+  engine.EndMeasurement(61);
+  EngineCosts costs = engine.TotalCosts();
+  ASSERT_GT(costs.value_refreshes, 0);
+  ASSERT_GT(costs.query_refreshes, 0);
+
+  obs::AttributionTable::Totals totals = BucketChecked(attribution);
+  // Bit-for-bit: same counts, and the same cvr/cqr doubles summed.
+  EXPECT_EQ(totals.value_refreshes, costs.value_refreshes);
+  EXPECT_EQ(totals.query_refreshes, costs.query_refreshes);
+  EXPECT_EQ(totals.value_cost + totals.query_cost, costs.total_cost);
+  // No subscriptions and every read tagged: all Cqr is query-reader.
+  EXPECT_EQ(totals.query_reader_refreshes, totals.query_refreshes);
+  EXPECT_EQ(totals.subscription_reader_refreshes, 0);
+  EXPECT_EQ(totals.unattributed_query_refreshes, 0);
+  CheckSnapshotInvariants(attribution, 60);
 }
 
 // Standing queries escalate through SubscriptionPull under the manager's

@@ -22,9 +22,6 @@ namespace {
 
 constexpr uint64_t kSeed = 2001;
 
-constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared};
-
 std::vector<std::unique_ptr<Source>> MakeSources(
     int n, const AdaptivePolicyParams& policy = AdaptivePolicyParams{}) {
   RandomWalkParams walk;
@@ -133,16 +130,15 @@ void ExpectSameRun(const EngineRun& quiet, const EngineRun& loud) {
 // Lockstep parity harness shared by the drift-detection tests below: a
 // single-shard engine and the sequential CacheSystem, built from identical
 // source populations and driven tick-for-tick, must return the same
-// intervals and account the same costs — in EVERY read-lock mode, since
-// both sides drive the same ProtocolTable and a 1-thread optimistic read
-// can never tear. Each call runs twice, quiet and then loud (every obs
-// instrument live, see loud_instruments.h), and the two engine runs must
-// also match each other bit for bit.
+// intervals and account the same costs, since both sides drive the same
+// ProtocolTable and a 1-thread optimistic read can never tear. Each call
+// runs twice, quiet and then loud (every obs instrument live, see
+// loud_instruments.h), and the two engine runs must also match each other
+// bit for bit.
 void ExpectLockstepParity(const SystemConfig& sys_config,
                           const AdaptivePolicyParams& policy,
                           const QueryWorkloadParams& workload,
-                          ReadLockMode mode, int num_sources, int64_t ticks,
-                          uint64_t query_seed) {
+                          int num_sources, int64_t ticks, uint64_t query_seed) {
   EngineRun runs[2];
   for (bool loud : {false, true}) {
     SCOPED_TRACE(loud ? "loud" : "quiet");
@@ -155,7 +151,6 @@ void ExpectLockstepParity(const SystemConfig& sys_config,
     engine_config.system = sys_config;
     engine_config.num_shards = 1;
     engine_config.seed = kSeed;
-    engine_config.read_lock_mode = mode;
     ShardedEngine engine(engine_config, MakeSources(num_sources, policy));
     std::optional<LoudInstruments> instruments;
     if (loud) {
@@ -174,8 +169,7 @@ void ExpectLockstepParity(const SystemConfig& sys_config,
       Interval expected =
           sequential.ExecuteQuery(sequential_queries.Next(), t);
       Interval actual = engine.ExecuteQuery(engine_queries.Next(), t);
-      ASSERT_EQ(actual, expected)
-          << "diverged at tick " << t << " in mode " << static_cast<int>(mode);
+      ASSERT_EQ(actual, expected) << "diverged at tick " << t;
       run.answers.push_back(actual);
     }
     sequential.costs().EndMeasurement(ticks);
@@ -213,10 +207,8 @@ TEST(ShardedEngineTest, LockstepParityWithThresholdSnapping) {
 
   QueryWorkloadParams workload = MakeWorkload(30);
   workload.constraints.avg = 10.0;  // tight enough that pulls shrink widths
-  for (ReadLockMode mode : kAllModes) {
-    ExpectLockstepParity(sys_config, policy, workload, mode,
-                         /*num_sources=*/30, /*ticks=*/300, kSeed ^ 0x5A);
-  }
+  ExpectLockstepParity(sys_config, policy, workload, /*num_sources=*/30,
+                       /*ticks=*/300, kSeed ^ 0x5A);
 
   // The thresholds genuinely fired: drive one system again and observe
   // both snapped-to-zero and snapped-to-infinity shipments.
@@ -241,8 +233,8 @@ TEST(ShardedEngineTest, LockstepParityWithThresholdSnapping) {
 // Satellite: MAX/MIN candidate elimination under push-loss injection —
 // lost pushes leave stale cached intervals, so the elimination order (and
 // which shard-side runs it batches) is stressed far harder than under
-// reliable delivery. Both read modes must still match the sequential
-// system pull-for-pull.
+// reliable delivery. The engine must still match the sequential system
+// pull-for-pull.
 TEST(ShardedEngineTest, LockstepParityMaxMinUnderPushLoss) {
   SystemConfig sys_config;
   sys_config.cache_capacity = 18;
@@ -253,10 +245,8 @@ TEST(ShardedEngineTest, LockstepParityMaxMinUnderPushLoss) {
   workload.min_fraction = 0.45;
   workload.avg_fraction = 0.0;
 
-  for (ReadLockMode mode : kAllModes) {
-    ExpectLockstepParity(sys_config, AdaptivePolicyParams{}, workload, mode,
-                         /*num_sources=*/24, /*ticks=*/300, kSeed ^ 0x5B);
-  }
+  ExpectLockstepParity(sys_config, AdaptivePolicyParams{}, workload,
+                       /*num_sources=*/24, /*ticks=*/300, kSeed ^ 0x5B);
 }
 
 // The guarantee extends to failure injection: shard 0 inherits the engine
@@ -768,47 +758,43 @@ TEST(ShardedEngineTest, ConcurrentReadersProgressWhileWriterCycles) {
 }
 
 // Direct (driver-less) races: raw ExecuteQuery and PointRead callers
-// against raw TickAll callers, exercising every read-lock mode's snapshot
-// path (seqlock validation + fallback, shared acquisition) without any
-// bus in between.
-TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuaranteeInEveryMode) {
+// against raw TickAll callers, exercising the snapshot path (seqlock
+// validation, the shared-lock settle of a torn aggregate read, the
+// exclusive re-check of a torn point read) without any bus in between.
+TEST(ShardedEngineTest, RawConcurrentAccessKeepsGuarantee) {
   constexpr int kSources = 32;
-  for (ReadLockMode mode : kAllModes) {
-    EngineConfig config;
-    config.num_shards = 2;
-    config.system.cache_capacity = 24;
-    config.read_lock_mode = mode;
-    ShardedEngine engine(config, MakeSources(kSources));
-    engine.PopulateInitial(0);
+  EngineConfig config;
+  config.num_shards = 2;
+  config.system.cache_capacity = 24;
+  ShardedEngine engine(config, MakeSources(kSources));
+  engine.PopulateInitial(0);
 
-    std::atomic<bool> stop{false};
-    std::atomic<int64_t> violations{0};
-    std::thread ticker([&] {
-      for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
-        engine.TickAll(t);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> violations{0};
+  std::thread ticker([&] {
+    for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
+      engine.TickAll(t);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      QueryGenerator gen(MakeWorkload(kSources),
+                         kSeed + static_cast<uint64_t>(r));
+      for (int q = 0; q < 200; ++q) {
+        Query query = gen.Next();
+        Interval result = (q % 4 == 3)
+                              ? engine.PointRead(query.source_ids.front(),
+                                                 query.constraint, q)
+                              : engine.ExecuteQuery(query, q);
+        if (result.Width() > query.constraint + 1e-9) ++violations;
       }
     });
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&, r] {
-        QueryGenerator gen(MakeWorkload(kSources),
-                           kSeed + static_cast<uint64_t>(r));
-        for (int q = 0; q < 200; ++q) {
-          Query query = gen.Next();
-          Interval result = (q % 4 == 3)
-                                ? engine.PointRead(query.source_ids.front(),
-                                                   query.constraint, q)
-                                : engine.ExecuteQuery(query, q);
-          if (result.Width() > query.constraint + 1e-9) ++violations;
-        }
-      });
-    }
-    for (auto& reader : readers) reader.join();
-    stop.store(true);
-    ticker.join();
-    EXPECT_EQ(violations.load(), 0)
-        << "constraint violated in mode " << static_cast<int>(mode);
   }
+  for (auto& reader : readers) reader.join();
+  stop.store(true);
+  ticker.join();
+  EXPECT_EQ(violations.load(), 0) << "constraint violated";
 }
 
 // Satellite: EngineConfig is validated in full — more shards than cache

@@ -3,11 +3,10 @@
 // (scenario_fuzz_common.h). Both sides are built from seed-identical
 // source populations and fed the identical op stream with a unique
 // logical time per op; every read must return the same interval bit for
-// bit and the run must account the same charges — across seeds and across
-// both read-lock modes. A point read on the engine mirrors as a
-// single-id SUM on the sequential side (the same refresh decision by
-// construction), so the fuzz also pins the PointRead/ExecuteQuery
-// equivalence.
+// bit and the run must account the same charges, across seeds. A point
+// read on the engine mirrors as a single-id SUM on the sequential side
+// (the same refresh decision by construction), so the fuzz also pins the
+// PointRead/ExecuteQuery equivalence.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -24,7 +23,7 @@ namespace {
 constexpr int kSources = 10;
 constexpr int kOps = 400;
 
-void RunFuzzLockstep(uint64_t seed, ReadLockMode mode) {
+void RunFuzzLockstep(uint64_t seed) {
   std::vector<FuzzOp> ops = GenerateFuzzOps(kOps, kSources, seed);
 
   SystemConfig sys_config;
@@ -41,7 +40,6 @@ void RunFuzzLockstep(uint64_t seed, ReadLockMode mode) {
   engine_config.system = sys_config;
   engine_config.num_shards = 1;
   engine_config.seed = seed;
-  engine_config.read_lock_mode = mode;
   ShardedEngine engine(engine_config,
                        BuildRandomWalkSources(kSources, walk, policy, seed));
   engine.PopulateInitial(0);
@@ -60,8 +58,7 @@ void RunFuzzLockstep(uint64_t seed, ReadLockMode mode) {
         Interval expected = sequential.ExecuteQuery(op.query, now);
         Interval actual = engine.ExecuteQuery(op.query, now);
         ASSERT_EQ(actual, expected)
-            << "aggregate diverged at op " << i << " seed " << seed
-            << " mode " << static_cast<int>(mode);
+            << "aggregate diverged at op " << i << " seed " << seed;
         ASSERT_LE(actual.Width(),
                   op.query.constraint + 1e-9 * (1.0 + op.query.constraint));
         break;
@@ -74,8 +71,7 @@ void RunFuzzLockstep(uint64_t seed, ReadLockMode mode) {
         Interval expected = sequential.ExecuteQuery(mirror, now);
         Interval actual = engine.PointRead(op.id, op.width, now);
         ASSERT_EQ(actual, expected)
-            << "point read diverged at op " << i << " seed " << seed
-            << " mode " << static_cast<int>(mode);
+            << "point read diverged at op " << i << " seed " << seed;
         break;
       }
     }
@@ -95,13 +91,9 @@ void RunFuzzLockstep(uint64_t seed, ReadLockMode mode) {
 }
 
 TEST(ScenarioFuzzTest, LockstepParityAcrossSeeds) {
-  for (uint64_t seed : {11u, 29u, 503u, 8191u}) {
-    RunFuzzLockstep(seed, ReadLockMode::kSeqlock);
+  for (uint64_t seed : {11u, 29u, 137u, 503u, 8191u}) {
+    RunFuzzLockstep(seed);
   }
-}
-
-TEST(ScenarioFuzzTest, LockstepParityAcrossReadModes) {
-  RunFuzzLockstep(137, ReadLockMode::kShared);
 }
 
 }  // namespace

@@ -27,9 +27,6 @@ namespace {
 
 constexpr uint64_t kSeed = 4001;
 
-constexpr ReadLockMode kAllModes[] = {ReadLockMode::kSeqlock,
-                                      ReadLockMode::kShared};
-
 HierarchyConfig SequentialConfig(int sources, int edges) {
   HierarchyConfig config;
   config.num_sources = sources;
@@ -96,8 +93,8 @@ TEST(TieredConfigTest, Validation) {
 /// see loud_instruments.h), and the two engine runs must also match each
 /// other bit for bit.
 void ExpectTieredLockstepParity(int num_sources, int num_edges,
-                                int num_shards, ReadLockMode mode,
-                                int64_t ticks, uint64_t stream_seed) {
+                                int num_shards, int64_t ticks,
+                                uint64_t stream_seed) {
   struct Run {
     std::vector<Interval> answers;
     EngineCosts wan;
@@ -112,7 +109,6 @@ void ExpectTieredLockstepParity(int num_sources, int num_edges,
     sequential.BeginMeasurement(0);
 
     TieredConfig tiered_config = TieredFrom(seq_config, num_shards, kSeed);
-    tiered_config.read_lock_mode = mode;
     TieredEngine tiered(tiered_config, WalkStreams(num_sources, stream_seed));
     std::optional<LoudInstruments> instruments;
     if (loud) {
@@ -199,22 +195,17 @@ void ExpectTieredLockstepParity(int num_sources, int num_edges,
 
 // The pinned acceptance criterion: 1 edge / 1 shard / 1 thread.
 TEST(TieredEngineTest, LockstepParityOneEdgeOneShard) {
-  for (ReadLockMode mode : kAllModes) {
-    ExpectTieredLockstepParity(/*num_sources=*/6, /*num_edges=*/1,
-                               /*num_shards=*/1, mode, /*ticks=*/400,
-                               kSeed ^ 0x11);
-  }
+  ExpectTieredLockstepParity(/*num_sources=*/6, /*num_edges=*/1,
+                             /*num_shards=*/1, /*ticks=*/400, kSeed ^ 0x11);
 }
 
 // Per-entity policy RNG streams make the guarantee independent of the
 // edge count and even of the shard partition (lockstep, one thread).
 TEST(TieredEngineTest, LockstepParityMultiEdgeMultiShard) {
   ExpectTieredLockstepParity(/*num_sources=*/8, /*num_edges=*/3,
-                             /*num_shards=*/1, ReadLockMode::kSeqlock,
-                             /*ticks=*/300, kSeed ^ 0x22);
+                             /*num_shards=*/1, /*ticks=*/300, kSeed ^ 0x22);
   ExpectTieredLockstepParity(/*num_sources=*/8, /*num_edges=*/3,
-                             /*num_shards=*/3, ReadLockMode::kSeqlock,
-                             /*ticks=*/300, kSeed ^ 0x22);
+                             /*num_shards=*/3, /*ticks=*/300, kSeed ^ 0x22);
 }
 
 // Updates delivered through the bus (tick-all events, and per-source
@@ -427,61 +418,56 @@ TEST(TieredEngineTest, EscalationChargingUnderLanPushLoss) {
 TEST(TieredEngineTest, FanOutCorrectUnderConcurrentEdgeReads) {
   constexpr int kSources = 24;
   constexpr int kEdges = 3;
-  for (ReadLockMode mode : kAllModes) {
-    HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
-    TieredConfig config = TieredFrom(seq_config, 2, kSeed);
-    config.read_lock_mode = mode;
-    TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0x66));
-    engine.PopulateInitial(0);
+  HierarchyConfig seq_config = SequentialConfig(kSources, kEdges);
+  TieredConfig config = TieredFrom(seq_config, 2, kSeed);
+  TieredEngine engine(config, WalkStreams(kSources, kSeed ^ 0x66));
+  engine.PopulateInitial(0);
 
-    std::atomic<bool> stop{false};
-    std::atomic<int64_t> ticks{0};
-    std::thread ticker([&] {
-      for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
-        engine.TickAll(t);
-        ticks.store(t, std::memory_order_relaxed);
-      }
-    });
-    std::thread checker([&] {
-      // The invariant is checked mid-run, racing the ticker's fan-outs.
-      while (!stop.load(std::memory_order_relaxed)) {
-        int64_t now = ticks.load(std::memory_order_relaxed);
-        ASSERT_TRUE(engine.DerivedInvariantHolds(now))
-            << "A_edge ⊉ A_regional observed mid-run in mode "
-            << static_cast<int>(mode);
-      }
-    });
-    std::vector<std::thread> readers;
-    std::atomic<int64_t> violations{0};
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&, r] {
-        // The quota side starts after the ticker's first tick, so the
-        // readers can never finish before the ticker was scheduled.
-        while (ticks.load(std::memory_order_relaxed) == 0) {
-          std::this_thread::yield();
-        }
-        Rng rng(kSeed + 10 + static_cast<uint64_t>(r));
-        for (int q = 0; q < 400; ++q) {
-          int edge = static_cast<int>(rng.UniformInt(0, kEdges - 1));
-          int id = static_cast<int>(rng.UniformInt(0, kSources - 1));
-          double constraint = rng.Uniform(0.0, 25.0);
-          int64_t now = ticks.load(std::memory_order_relaxed);
-          Interval answer = engine.Read(edge, id, constraint, now);
-          if (answer.Width() > constraint + 1e-9) ++violations;
-        }
-      });
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> ticks{0};
+  std::thread ticker([&] {
+    for (int64_t t = 1; !stop.load(std::memory_order_relaxed); ++t) {
+      engine.TickAll(t);
+      ticks.store(t, std::memory_order_relaxed);
     }
-    for (auto& reader : readers) reader.join();
-    stop.store(true);
-    checker.join();
-    ticker.join();
-
-    EXPECT_EQ(violations.load(), 0)
-        << "constraint violated in mode " << static_cast<int>(mode);
-    EXPECT_GT(ticks.load(), 0) << "ticker made no progress";
-    EXPECT_TRUE(engine.DerivedInvariantHolds(ticks.load()));
-    EXPECT_EQ(engine.counters().reads.load(), 3 * 400);
+  });
+  std::thread checker([&] {
+    // The invariant is checked mid-run, racing the ticker's fan-outs.
+    while (!stop.load(std::memory_order_relaxed)) {
+      int64_t now = ticks.load(std::memory_order_relaxed);
+      ASSERT_TRUE(engine.DerivedInvariantHolds(now))
+          << "A_edge ⊉ A_regional observed mid-run";
+    }
+  });
+  std::vector<std::thread> readers;
+  std::atomic<int64_t> violations{0};
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      // The quota side starts after the ticker's first tick, so the
+      // readers can never finish before the ticker was scheduled.
+      while (ticks.load(std::memory_order_relaxed) == 0) {
+        std::this_thread::yield();
+      }
+      Rng rng(kSeed + 10 + static_cast<uint64_t>(r));
+      for (int q = 0; q < 400; ++q) {
+        int edge = static_cast<int>(rng.UniformInt(0, kEdges - 1));
+        int id = static_cast<int>(rng.UniformInt(0, kSources - 1));
+        double constraint = rng.Uniform(0.0, 25.0);
+        int64_t now = ticks.load(std::memory_order_relaxed);
+        Interval answer = engine.Read(edge, id, constraint, now);
+        if (answer.Width() > constraint + 1e-9) ++violations;
+      }
+    });
   }
+  for (auto& reader : readers) reader.join();
+  stop.store(true);
+  checker.join();
+  ticker.join();
+
+  EXPECT_EQ(violations.load(), 0) << "constraint violated";
+  EXPECT_GT(ticks.load(), 0) << "ticker made no progress";
+  EXPECT_TRUE(engine.DerivedInvariantHolds(ticks.load()));
+  EXPECT_EQ(engine.counters().reads.load(), 3 * 400);
 }
 
 // Every read lands in exactly one outcome bucket, and loose reads are
@@ -587,57 +573,51 @@ class ParkingStream : public UpdateStream {
 // Reads that no interval can serve — an unowned id or edge, or a NaN or
 // negative constraint — are rejected before any lock, so a stream of bad
 // reads never queues behind an update's apply on a shard's exclusive
-// lock. Every
-// entry point must return while a TickAll holds the origin shard, in
-// every read mode, charge-free, counting each rejection.
+// lock. Every entry point must return while a TickAll holds the origin
+// shard, charge-free, counting each rejection.
 TEST(TieredEngineTest, RejectedReadsDoNotWaitForTheShardLock) {
   constexpr int kSources = 8;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (ReadLockMode mode : kAllModes) {
-    ParkingGate gate;
-    auto streams = WalkStreams(kSources, kSeed ^ 0xAA);
-    streams[0] = std::make_unique<ParkingStream>(&gate);
-    TieredConfig config = TieredFrom(SequentialConfig(kSources, 2),
-                                     /*num_shards=*/1, kSeed);
-    config.read_lock_mode = mode;
-    TieredEngine engine(config, std::move(streams));
-    engine.PopulateInitial(0);
-    engine.BeginMeasurement(0);
+  ParkingGate gate;
+  auto streams = WalkStreams(kSources, kSeed ^ 0xAA);
+  streams[0] = std::make_unique<ParkingStream>(&gate);
+  TieredConfig config = TieredFrom(SequentialConfig(kSources, 2),
+                                   /*num_shards=*/1, kSeed);
+  TieredEngine engine(config, std::move(streams));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
 
-    // One shard: every id, owned or not, routes to the parked shard.
-    gate.armed.store(true);
-    std::thread ticker([&] { engine.TickAll(1); });
-    while (!gate.parked.load()) std::this_thread::yield();
-    Query bad_query;
-    bad_query.kind = AggregateKind::kSum;
-    bad_query.source_ids = {1, 2};
-    bad_query.constraint = nan;
-    std::future<bool> reads = std::async(std::launch::async, [&] {
-      return engine.PointRead(/*id=*/999, /*max_width=*/1e12, 1)
-                 .IsUnbounded() &&
-             engine.PointRead(0, nan, 1).IsUnbounded() &&
-             engine.PointRead(0, -1.0, 1).IsUnbounded() &&
-             engine.ExecuteQuery(bad_query, 1).IsUnbounded() &&
-             engine.Read(/*edge=*/7, 0, 1e12, 1).IsUnbounded() &&
-             engine.Read(0, /*id=*/999, 1e12, 1).IsUnbounded() &&
-             engine.Read(0, 0, nan, 1).IsUnbounded();
-    });
-    bool returned =
-        reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
-    gate.released.store(true);
-    ticker.join();
+  // One shard: every id, owned or not, routes to the parked shard.
+  gate.armed.store(true);
+  std::thread ticker([&] { engine.TickAll(1); });
+  while (!gate.parked.load()) std::this_thread::yield();
+  Query bad_query;
+  bad_query.kind = AggregateKind::kSum;
+  bad_query.source_ids = {1, 2};
+  bad_query.constraint = nan;
+  std::future<bool> reads = std::async(std::launch::async, [&] {
+    return engine.PointRead(/*id=*/999, /*max_width=*/1e12, 1).IsUnbounded() &&
+           engine.PointRead(0, nan, 1).IsUnbounded() &&
+           engine.PointRead(0, -1.0, 1).IsUnbounded() &&
+           engine.ExecuteQuery(bad_query, 1).IsUnbounded() &&
+           engine.Read(/*edge=*/7, 0, 1e12, 1).IsUnbounded() &&
+           engine.Read(0, /*id=*/999, 1e12, 1).IsUnbounded() &&
+           engine.Read(0, 0, nan, 1).IsUnbounded();
+  });
+  bool returned =
+      reads.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate.released.store(true);
+  ticker.join();
 
-    ASSERT_TRUE(returned) << "a rejected read waited for the shard lock "
-                          << "in mode " << static_cast<int>(mode);
-    EXPECT_TRUE(reads.get());
-    const RuntimeCounters& counters = engine.counters();
-    EXPECT_EQ(counters.rejected_query_ids.load(), 1);
-    EXPECT_EQ(counters.rejected_constraints.load(), 4);
-    EXPECT_EQ(counters.rejected_reads.load(), 2);
-    EXPECT_EQ(counters.query_refreshes.load(), 0);
-    EXPECT_EQ(engine.WanCosts().query_refreshes, 0) << "no charge";
-    EXPECT_EQ(engine.LanCosts().query_refreshes, 0) << "no charge";
-  }
+  ASSERT_TRUE(returned) << "a rejected read waited for the shard lock";
+  EXPECT_TRUE(reads.get());
+  const RuntimeCounters& counters = engine.counters();
+  EXPECT_EQ(counters.rejected_query_ids.load(), 1);
+  EXPECT_EQ(counters.rejected_constraints.load(), 4);
+  EXPECT_EQ(counters.rejected_reads.load(), 2);
+  EXPECT_EQ(counters.query_refreshes.load(), 0);
+  EXPECT_EQ(engine.WanCosts().query_refreshes, 0) << "no charge";
+  EXPECT_EQ(engine.LanCosts().query_refreshes, 0) << "no charge";
 }
 
 // Several producers: four threads push single-id ticks for disjoint id

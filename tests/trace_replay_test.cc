@@ -3,9 +3,8 @@
 // the recorded trace through trace_io, reload it, and replay it with
 // BuildTraceSources. The replay must be bit-for-bit the original run —
 // same answer intervals, same charges, same retained raw widths — in the
-// sequential system and in the single-shard engine in every read-lock
-// mode. This is what makes a recorded trace a faithful substitute for the
-// workload that produced it.
+// sequential system and in the single-shard engine. This is what makes a
+// recorded trace a faithful substitute for the workload that produced it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -144,35 +143,31 @@ TEST(TraceReplayTest, SequentialReplayIsBitForBit) {
   }
 }
 
-TEST(TraceReplayTest, EngineReplayMatchesInAllReadModes) {
+TEST(TraceReplayTest, EngineReplayIsBitForBit) {
   Trace trace;
   RunLog reference;
   RecordReferenceRun(&trace, &reference);
 
-  for (ReadLockMode mode : {ReadLockMode::kSeqlock, ReadLockMode::kShared}) {
-    EngineConfig config;
-    config.system.cache_capacity = kSources;
-    config.num_shards = 1;
-    config.seed = kSeed;
-    config.read_lock_mode = mode;
-    ShardedEngine engine(
-        config, BuildTraceSources(trace, AdaptivePolicyParams{}, kSeed));
-    engine.PopulateInitial(0);
-    engine.BeginMeasurement(0);
-    QueryGenerator queries(MakeWorkload(), kSeed ^ 0xC4);
-    for (int64_t t = 1; t <= kTicks; ++t) {
-      engine.TickAll(t);
-      Interval answer = engine.ExecuteQuery(queries.Next(), t);
-      ASSERT_EQ(answer, reference.answers[static_cast<size_t>(t - 1)])
-          << "engine diverged at tick " << t << " in mode "
-          << static_cast<int>(mode);
-    }
-    engine.EndMeasurement(kTicks);
-    EngineCosts costs = engine.TotalCosts();
-    EXPECT_EQ(costs.value_refreshes, reference.value_refreshes);
-    EXPECT_EQ(costs.query_refreshes, reference.query_refreshes);
-    EXPECT_DOUBLE_EQ(costs.total_cost, reference.total_cost);
+  EngineConfig config;
+  config.system.cache_capacity = kSources;
+  config.num_shards = 1;
+  config.seed = kSeed;
+  ShardedEngine engine(
+      config, BuildTraceSources(trace, AdaptivePolicyParams{}, kSeed));
+  engine.PopulateInitial(0);
+  engine.BeginMeasurement(0);
+  QueryGenerator queries(MakeWorkload(), kSeed ^ 0xC4);
+  for (int64_t t = 1; t <= kTicks; ++t) {
+    engine.TickAll(t);
+    Interval answer = engine.ExecuteQuery(queries.Next(), t);
+    ASSERT_EQ(answer, reference.answers[static_cast<size_t>(t - 1)])
+        << "engine diverged at tick " << t;
   }
+  engine.EndMeasurement(kTicks);
+  EngineCosts costs = engine.TotalCosts();
+  EXPECT_EQ(costs.value_refreshes, reference.value_refreshes);
+  EXPECT_EQ(costs.query_refreshes, reference.query_refreshes);
+  EXPECT_DOUBLE_EQ(costs.total_cost, reference.total_cost);
 }
 
 /// A replay through engines that own their policies: the same loaded trace
